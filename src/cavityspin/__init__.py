@@ -26,7 +26,6 @@ from .spectral import (
     grid_for_density,
     lamb_shift,
     normalize,
-    qgauss_eval,
     sokhotski_split,
 )
 
@@ -51,7 +50,6 @@ __all__ = [
     "grid_for_density",
     "lamb_shift",
     "normalize",
-    "qgauss_eval",
     "sokhotski_split",
     "__version__",
 ]

@@ -125,14 +125,6 @@ class DriveProtocol:
                 raise ValueError(f"segment durations must be positive, got {d}")
         object.__setattr__(self, "segments", segs)
 
-    @property
-    def n_segments(self) -> int:
-        return len(self.segments)
-
-    @property
-    def total_duration(self) -> float:
-        return sum(d for d, _ in self.segments)
-
     def boundaries(self) -> np.ndarray:
         """Cumulative segment edges [0, T_1, T_2, ...]."""
         return np.concatenate(([0.0], np.cumsum([d for d, _ in self.segments])))

@@ -22,7 +22,8 @@ import math
 import os
 import platform
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
+from typing import Callable
 
 import numpy as np
 import scipy
@@ -43,21 +44,6 @@ from .spectral import (
     QGaussianDensity,
     SpinDensity,
     delta_from_fwhm,
-)
-
-LONG_PULSE = "long-pulse"
-TRAIN_MAP = "train-map"
-GAMMA_SWEEP = "gamma-sweep"
-TRAIN_COMPARE = "train-compare"
-MAX_SCAN = "max-scan"
-LORENTZ_ANALYTIC = "lorentz-analytic"
-SCENARIOS = (
-    LONG_PULSE,
-    TRAIN_MAP,
-    GAMMA_SWEEP,
-    TRAIN_COMPARE,
-    MAX_SCAN,
-    LORENTZ_ANALYTIC,
 )
 
 # Parameters a sweep axis may vary. Couplings and drive gaps are the two
@@ -87,10 +73,11 @@ class ConfigError(ValueError):
 # configuration specs
 
 
-def _reject_unknown(mapping, allowed, where):
+def _reject_unknown(mapping, spec, where):
+    """Check that ``mapping`` is an object whose keys are fields of ``spec``."""
     if not isinstance(mapping, dict):
         raise ConfigError(f"{where} must be a JSON object, got {type(mapping).__name__}")
-    unknown = set(mapping) - set(allowed)
+    unknown = set(mapping) - {f.name for f in fields(spec)}
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
 
@@ -106,6 +93,30 @@ def _opt_float(mapping, key, where, default=None):
     if value is None:
         return default
     return _as_float(value, f"{where}.{key}")
+
+
+def _floats(mapping, spec, where, **defaults):
+    """The float fields of ``spec``. A missing or null field takes its
+    value from ``defaults`` or the dataclass default; without either, a
+    ``float | None`` field is None and a ``float`` field is required."""
+    out = {}
+    for f in fields(spec):
+        if f.type not in ("float", "float | None"):
+            continue
+        default = defaults.get(f.name, f.default)
+        if default is MISSING:
+            if f.type == "float" and mapping.get(f.name) is None:
+                raise ConfigError(f"{where}.{f.name} is required")
+            default = None
+        out[f.name] = _opt_float(mapping, f.name, where, default)
+    return out
+
+
+def _opt_count(value, name):
+    if value is not None and (isinstance(value, bool) or not isinstance(value, int)
+                              or value < 1):
+        raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -126,24 +137,12 @@ class SystemSpec:
 
     @staticmethod
     def from_mapping(mapping) -> "SystemSpec":
-        _reject_unknown(
-            mapping,
-            ("cavity_ghz", "kappa_mhz", "coupling_mhz", "spin_ghz",
-             "probe_ghz", "spin_loss_mhz"),
-            "system",
-        )
-        for key in ("cavity_ghz", "kappa_mhz", "coupling_mhz"):
-            if mapping.get(key) is None:
-                raise ConfigError(f"system.{key} is required")
-        cavity = _as_float(mapping["cavity_ghz"], "system.cavity_ghz")
-        return SystemSpec(
-            cavity_ghz=cavity,
-            kappa_mhz=_as_float(mapping["kappa_mhz"], "system.kappa_mhz"),
-            coupling_mhz=_as_float(mapping["coupling_mhz"], "system.coupling_mhz"),
-            spin_ghz=_opt_float(mapping, "spin_ghz", "system", cavity),
-            probe_ghz=_opt_float(mapping, "probe_ghz", "system", cavity),
-            spin_loss_mhz=_opt_float(mapping, "spin_loss_mhz", "system", 0.0),
-        )
+        _reject_unknown(mapping, SystemSpec, "system")
+        values = _floats(mapping, SystemSpec, "system", spin_ghz=None, probe_ghz=None)
+        # The ensemble and the probe default to the cavity line.
+        carriers = {k: values["cavity_ghz"] for k in ("spin_ghz", "probe_ghz")
+                    if values[k] is None}
+        return SystemSpec(**values | carriers)
 
     def to_params(self) -> SystemParams:
         try:
@@ -170,26 +169,20 @@ class DensitySpec:
 
     @staticmethod
     def from_mapping(mapping, system: SystemSpec) -> "DensitySpec":
-        _reject_unknown(mapping, ("kind", "fwhm_mhz", "q", "center_ghz"), "density")
+        _reject_unknown(mapping, DensitySpec, "density")
         kind = mapping.get("kind")
         if kind not in ("qgauss", "lorentz", "delta"):
             raise ConfigError(f"density.kind must be qgauss|lorentz|delta, got {kind!r}")
-        fwhm = _opt_float(mapping, "fwhm_mhz", "density")
-        q = _opt_float(mapping, "q", "density")
-        if kind in ("qgauss", "lorentz") and fwhm is None:
+        values = _floats(mapping, DensitySpec, "density", center_ghz=system.spin_ghz)
+        if kind in ("qgauss", "lorentz") and values["fwhm_mhz"] is None:
             raise ConfigError(f"density.fwhm_mhz is required for kind {kind!r}")
-        if kind == "qgauss" and q is None:
+        if kind == "qgauss" and values["q"] is None:
             raise ConfigError("density.q is required for kind 'qgauss'")
         if kind in ("lorentz", "delta"):
-            q = None
+            values["q"] = None
         if kind == "delta":
-            fwhm = None
-        return DensitySpec(
-            kind=kind,
-            fwhm_mhz=fwhm,
-            q=q,
-            center_ghz=_opt_float(mapping, "center_ghz", "density", system.spin_ghz),
-        )
+            values["fwhm_mhz"] = None
+        return DensitySpec(kind=kind, **values)
 
     def build(self) -> SpinDensity:
         center = ghz_to_angular(self.center_ghz)
@@ -209,35 +202,21 @@ class DriveSpec:
     """Rectangular pulse or phase-switched train; amplitude defaults to
     the cavity loss rate when left null."""
 
-    kind: str
-    amplitude_mhz: float | None
-    duration_ns: float | None
-    tau_ns: float | None
-    n_pulses: int | None
+    kind: str = "rect"
+    amplitude_mhz: float | None = None
+    duration_ns: float | None = None
+    tau_ns: float | None = None
+    n_pulses: int | None = None
 
     @staticmethod
     def from_mapping(mapping) -> "DriveSpec":
-        _reject_unknown(
-            mapping,
-            ("kind", "amplitude_mhz", "duration_ns", "tau_ns", "n_pulses"),
-            "drive",
-        )
-        kind = mapping.get("kind", "rect")
+        _reject_unknown(mapping, DriveSpec, "drive")
+        kind = mapping.get("kind", DriveSpec.kind)
         if kind not in ("rect", "train"):
             raise ConfigError(f"drive.kind must be rect|train, got {kind!r}")
-        n_pulses = mapping.get("n_pulses")
-        if n_pulses is not None:
-            if isinstance(n_pulses, bool) or not isinstance(n_pulses, int):
-                raise ConfigError(f"drive.n_pulses must be an integer, got {n_pulses!r}")
-            if n_pulses < 1:
-                raise ConfigError(f"drive.n_pulses must be >= 1, got {n_pulses}")
-        return DriveSpec(
-            kind=kind,
-            amplitude_mhz=_opt_float(mapping, "amplitude_mhz", "drive"),
-            duration_ns=_opt_float(mapping, "duration_ns", "drive"),
-            tau_ns=_opt_float(mapping, "tau_ns", "drive"),
-            n_pulses=n_pulses,
-        )
+        n_pulses = _opt_count(mapping.get("n_pulses"), "drive.n_pulses")
+        return DriveSpec(kind=kind, n_pulses=n_pulses,
+                         **_floats(mapping, DriveSpec, "drive"))
 
     def amplitude(self, params: SystemParams) -> float:
         if self.amplitude_mhz is None:
@@ -252,14 +231,13 @@ class GridSpec:
 
     @staticmethod
     def from_mapping(mapping) -> "GridSpec":
-        _reject_unknown(mapping, ("dt_ns", "t_end_ns"), "grid")
-        dt = _opt_float(mapping, "dt_ns", "grid", 0.05)
-        if dt <= 0:
-            raise ConfigError(f"grid.dt_ns must be positive, got {dt}")
-        t_end = _opt_float(mapping, "t_end_ns", "grid")
-        if t_end is not None and t_end <= dt:
-            raise ConfigError(f"grid.t_end_ns must exceed dt_ns, got {t_end}")
-        return GridSpec(dt_ns=dt, t_end_ns=t_end)
+        _reject_unknown(mapping, GridSpec, "grid")
+        grid = GridSpec(**_floats(mapping, GridSpec, "grid"))
+        if grid.dt_ns <= 0:
+            raise ConfigError(f"grid.dt_ns must be positive, got {grid.dt_ns}")
+        if grid.t_end_ns is not None and grid.t_end_ns <= grid.dt_ns:
+            raise ConfigError(f"grid.t_end_ns must exceed dt_ns, got {grid.t_end_ns}")
+        return grid
 
 
 @dataclass(frozen=True)
@@ -269,7 +247,7 @@ class SweepSpec:
 
     @staticmethod
     def from_mapping(mapping) -> "SweepSpec":
-        _reject_unknown(mapping, ("parameter", "values"), "sweep axis")
+        _reject_unknown(mapping, SweepSpec, "sweep axis")
         parameter = mapping.get("parameter")
         if parameter not in SWEEPABLE:
             raise ConfigError(
@@ -301,16 +279,8 @@ class CompareSpec:
 
     @staticmethod
     def from_mapping(mapping) -> "CompareSpec":
-        _reject_unknown(
-            mapping,
-            ("twin_rabi_mhz", "twin_coupling_mhz", "formula_delta_mhz"),
-            "compare",
-        )
-        return CompareSpec(
-            twin_rabi_mhz=_opt_float(mapping, "twin_rabi_mhz", "compare", 19.2),
-            twin_coupling_mhz=_opt_float(mapping, "twin_coupling_mhz", "compare", 8.56),
-            formula_delta_mhz=_opt_float(mapping, "formula_delta_mhz", "compare", 4.4),
-        )
+        _reject_unknown(mapping, CompareSpec, "compare")
+        return CompareSpec(**_floats(mapping, CompareSpec, "compare"))
 
 
 @dataclass(frozen=True)
@@ -333,14 +303,7 @@ class ScenarioConfig:
 
     @staticmethod
     def from_mapping(mapping) -> "ScenarioConfig":
-        if not isinstance(mapping, dict):
-            raise ConfigError(f"config must be a JSON object, got {type(mapping).__name__}")
-        _reject_unknown(
-            mapping,
-            ("scenario", "system", "density", "drive", "grid", "sweep",
-             "compare", "output", "workers"),
-            "config",
-        )
+        _reject_unknown(mapping, ScenarioConfig, "config")
         scenario = mapping.get("scenario")
         if scenario not in SCENARIOS:
             raise ConfigError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
@@ -348,10 +311,7 @@ class ScenarioConfig:
         sweep_raw = mapping.get("sweep") or []
         if not isinstance(sweep_raw, (list, tuple)):
             raise ConfigError("sweep must be a list of axes")
-        workers = mapping.get("workers")
-        if workers is not None:
-            if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-                raise ConfigError(f"workers must be a positive integer, got {workers!r}")
+        workers = _opt_count(mapping.get("workers"), "workers")
         output = mapping.get("output")
         if output is not None and not isinstance(output, str):
             raise ConfigError(f"output must be a path string, got {output!r}")
@@ -475,14 +435,14 @@ def _versions() -> dict:
 
 
 def _finish(config, columns, blocks, derived, diagnostics) -> ResultTable:
-    rows = np.vstack(blocks) if len(blocks) > 1 else np.asarray(blocks[0], dtype=float)
     provenance = {
         "config_hash": config_hash(config),
         "versions": _versions(),
-        "derived": derived,
+        "derived": _common_derived(config) | derived,
         "diagnostics": diagnostics,
     }
-    return ResultTable(columns=tuple(columns), rows=rows, provenance=provenance)
+    return ResultTable(columns=tuple(columns), rows=np.vstack(blocks),
+                       provenance=provenance)
 
 
 def _json_default(obj):
@@ -510,10 +470,7 @@ def write_outputs(table: ResultTable, config: ScenarioConfig, base_path,
     table.write_csv(csv_path)
     manifest = {
         "config": config.to_mapping(),
-        "config_hash": table.provenance["config_hash"],
-        "versions": table.provenance["versions"],
-        "derived": table.provenance["derived"],
-        "diagnostics": table.provenance["diagnostics"],
+        **table.provenance,
         "columns": list(table.columns),
         "n_rows": table.n_rows,
         "timings": timings or {},
@@ -543,20 +500,14 @@ def _worker_count(config: ScenarioConfig, n_tasks: int) -> int:
     return max(1, min(limit, n_tasks))
 
 
-def _eval_point(task):
-    scenario, config, assignment, extra = task
-    return _POINT_RUNNERS[scenario](config, assignment, extra)
-
-
-def _map_points(scenario, config, assignments, extras=None):
-    if extras is None:
-        extras = [{} for _ in assignments]
-    tasks = [(scenario, config, a, e) for a, e in zip(assignments, extras)]
-    workers = _worker_count(config, len(tasks))
+def _map_points(point, config, items):
+    """``point(config, item)`` for every item, in item order, serially or
+    on the process pool; ``point`` must be a module-level function."""
+    workers = _worker_count(config, len(items))
     if workers <= 1:
-        return [_eval_point(t) for t in tasks]
+        return [point(config, item) for item in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_eval_point, tasks))
+        return list(pool.map(point, itertools.repeat(config), items))
 
 
 def _build_point(config):
@@ -566,103 +517,48 @@ def _build_point(config):
     return params, density, eta
 
 
-def _time_grid(config, t_end) -> TimeGrid:
+def _rect_pulse_grid(config):
+    """Requested/snapped pulse duration and the grid up to grid.t_end_ns."""
     dt = config.grid.dt_ns
-    return TimeGrid(0.0, dt, int(round(t_end / dt)) + 1)
-
-
-def _prefix_columns(assignment, n, tau_snapped=None):
-    cols = []
-    for name, value in assignment:
-        if name == "tau_ns" and tau_snapped is not None:
-            value = tau_snapped
-        cols.append(np.full(n, value))
-    return cols
+    requested = config.drive.duration_ns
+    pair = {"requested": requested, "snapped": snap_to_grid(requested, dt)}
+    return pair, TimeGrid(0.0, dt, int(round(config.grid.t_end_ns / dt)) + 1)
 
 
 # --- long-pulse ---
 
 
-def _long_pulse_point(config, assignment, extra):
+def _long_pulse_point(config, assignment):
     cfg = apply_assignment(config, assignment)
     params, density, eta = _build_point(cfg)
-    if cfg.drive.kind != "rect":
-        raise ConfigError("long-pulse drives a single rectangular pulse")
-    if cfg.drive.duration_ns is None:
-        raise ConfigError("long-pulse needs drive.duration_ns")
-    if cfg.grid.t_end_ns is None:
-        raise ConfigError("long-pulse needs grid.t_end_ns")
-    duration = snap_to_grid(cfg.drive.duration_ns, cfg.grid.dt_ns)
-    tgrid = _time_grid(cfg, cfg.grid.t_end_ns)
-    a = volterra.solve(params, density, rect_pulse(eta, duration), tgrid)
+    duration, tgrid = _rect_pulse_grid(cfg)
+    a = volterra.solve(params, density, rect_pulse(eta, duration["snapped"]), tgrid)
     j = volterra.collective_spin(params, density, a)
     rows = np.column_stack([
-        *_prefix_columns(assignment, tgrid.n_steps),
         tgrid.times(),
         a.abs2(),
         j.values.real ** 2,
         j.values.imag ** 2,
     ])
-    diag = {
-        "assignment": dict(assignment),
-        "duration_ns": {"requested": cfg.drive.duration_ns, "snapped": duration},
-    }
-    return rows, diag
-
-
-def run_long_pulse(config: ScenarioConfig) -> ResultTable:
-    """Drive with one rectangular pulse and record the cavity intensity
-    and both collective-spin quadratures over the full grid (drive plus
-    free-decay tail). Sweep axes prepend one column each."""
-    assignments = iter_assignments(config)
-    results = _map_points(LONG_PULSE, config, assignments)
-    columns = [name for name, _ in assignments[0]] + ["t_ns", "abs_A2", "Jx2", "Jy2"]
-    derived = _common_derived(config)
-    derived["duration_ns"] = results[0][1]["duration_ns"]
-    return _finish(config, columns, [r[0] for r in results], derived,
-                   [r[1] for r in results])
+    return rows, {"duration_ns": duration}
 
 
 # --- train-map ---
 
 
-def _train_point(config, assignment, extra):
+def _train_point(config, assignment, density=None):
+    """(t, |A|^2) rows of drive.n_pulses phase-switched pulses of the
+    snapped tau; ``density`` replaces the configured line shape."""
     cfg = apply_assignment(config, assignment)
-    params, density, eta = _build_point(cfg)
-    if cfg.drive.tau_ns is None or cfg.drive.n_pulses is None:
-        raise ConfigError("train scenarios need drive.tau_ns and drive.n_pulses")
+    params, own_density, eta = _build_point(cfg)
     dt = cfg.grid.dt_ns
     tau = snap_to_grid(cfg.drive.tau_ns, dt)
-    n_pulses = cfg.drive.n_pulses
-    steps_per_tau = int(round(tau / dt))
-    tgrid = TimeGrid(0.0, dt, n_pulses * steps_per_tau + 1)
-    protocol = phase_switched_train(eta, tau, n_pulses)
-    a = volterra.solve(params, density, protocol, tgrid)
-    rows = np.column_stack([
-        *_prefix_columns(assignment, tgrid.n_steps, tau_snapped=tau),
-        tgrid.times(),
-        a.abs2(),
-    ])
-    diag = {
-        "assignment": dict(assignment),
-        "tau_ns": {"requested": cfg.drive.tau_ns, "snapped": tau},
-    }
-    return rows, diag
-
-
-def run_pulse_train_map(config: ScenarioConfig) -> ResultTable:
-    """Phase-switched pulse train for every tau on the sweep axis,
-    long-format (tau, t, intensity). The tau column carries the snapped
-    value; requested/snapped pairs land in the manifest."""
-    if not any(ax.parameter == "tau_ns" for ax in config.sweep):
-        raise ConfigError("train-map needs a tau_ns sweep axis")
-    assignments = iter_assignments(config)
-    results = _map_points(TRAIN_MAP, config, assignments)
-    columns = [name for name, _ in assignments[0]] + ["t_ns", "abs_A2"]
-    derived = _common_derived(config)
-    derived["tau_pairs_ns"] = [r[1]["tau_ns"] for r in results]
-    return _finish(config, columns, [r[0] for r in results], derived,
-                   [r[1] for r in results])
+    tgrid = TimeGrid(0.0, dt, cfg.drive.n_pulses * int(round(tau / dt)) + 1)
+    protocol = phase_switched_train(eta, tau, cfg.drive.n_pulses)
+    a = volterra.solve(params, own_density if density is None else density,
+                       protocol, tgrid)
+    rows = np.column_stack([tgrid.times(), a.abs2()])
+    return rows, {"tau_ns": {"requested": cfg.drive.tau_ns, "snapped": tau}}
 
 
 # --- gamma-sweep ---
@@ -717,7 +613,7 @@ def _free_decay_rate(params, density, dt):
     return estimate.gamma, diag
 
 
-def _gamma_point(config, assignment, extra):
+def _gamma_point(config, assignment):
     cfg = apply_assignment(config, assignment)
     params, density, _ = _build_point(cfg)
     markov = laplace.gamma_markov(params, density).gamma
@@ -728,7 +624,6 @@ def _gamma_point(config, assignment, extra):
     lor = laplace.gamma_lorentz_formula(params.Omega, formula_delta, params.kappa)[0].gamma
     nob = laplace.gamma_no_broadening(params.Omega, params.kappa)[0].gamma
     timefit, diag = _free_decay_rate(params, density, cfg.grid.dt_ns)
-    diag["assignment"] = dict(assignment)
     row = np.array([[
         cfg.system.coupling_mhz,
         angular_to_mhz(timefit),
@@ -738,24 +633,6 @@ def _gamma_point(config, assignment, extra):
         angular_to_mhz(nob),
     ]])
     return row, diag
-
-
-def run_gamma_sweep(config: ScenarioConfig) -> ResultTable:
-    """Intensity decay rate of the single-photon free decay versus
-    coupling, next to the four closed-form estimates. All rate columns
-    are divided by 2*pi and reported in MHz (plot units)."""
-    if len(config.sweep) != 1 or config.sweep[0].parameter != "coupling_mhz":
-        raise ConfigError("gamma-sweep needs exactly one coupling_mhz sweep axis")
-    assignments = iter_assignments(config)
-    results = _map_points(GAMMA_SWEEP, config, assignments)
-    columns = ["Omega_mhz", "Gamma_timefit_mhz", "Gamma_markov_mhz",
-               "Gamma_asymptotic_mhz", "Gamma_lorentz_mhz",
-               "Gamma_nobroadening_mhz"]
-    derived = _common_derived(config)
-    derived["formula_delta_mhz"] = config.compare.formula_delta_mhz
-    derived["rate_units"] = "MHz (Gamma / 2 pi), intensity rates"
-    return _finish(config, columns, [r[0] for r in results], derived,
-                   [r[1] for r in results])
 
 
 # --- train-compare ---
@@ -777,149 +654,235 @@ def fitted_twin(config: ScenarioConfig):
     )
 
 
-def _compare_point(config, assignment, extra):
-    params, density, eta = _build_point(config)
-    if extra["trace"] == "twin":
-        density = LorentzianDensity(params.omega_s, extra["twin_delta"])
-    dt = config.grid.dt_ns
-    tau = snap_to_grid(config.drive.tau_ns, dt)
-    steps_per_tau = int(round(tau / dt))
-    tgrid = TimeGrid(0.0, dt, config.drive.n_pulses * steps_per_tau + 1)
-    protocol = phase_switched_train(eta, tau, config.drive.n_pulses)
-    a = volterra.solve(params, density, protocol, tgrid)
-    rows = np.column_stack([tgrid.times(), a.abs2()])
-    return rows, {"trace": extra["trace"], "tau_ns":
-                  {"requested": config.drive.tau_ns, "snapped": tau}}
+def _compare_trace(config, twin_delta):
+    """The train through the configured density, or through the Lorentzian
+    twin of half-width ``twin_delta`` when that is given."""
+    twin = None
+    if twin_delta is not None:
+        twin = LorentzianDensity(config.system.to_params().omega_s, twin_delta)
+    rows, diag = _train_point(config, (), twin)
+    return rows, {"trace": "main" if twin is None else "twin", **diag}
 
 
-def run_train_compare(config: ScenarioConfig) -> ResultTable:
+def _run_train_compare(config, scenario) -> ResultTable:
     """Identical pulse train through the configured density and through
     its fitted Lorentzian twin, side by side on one time column."""
-    if config.sweep:
-        raise ConfigError("train-compare takes no sweep axes")
-    if config.drive.tau_ns is None or config.drive.n_pulses is None:
-        raise ConfigError("train-compare needs drive.tau_ns and drive.n_pulses")
-    if config.density.kind == "lorentz":
-        raise ConfigError("train-compare compares a non-Lorentzian density "
-                          "against its fitted Lorentzian twin")
     twin_omega, twin_delta = fitted_twin(config)
-    extras = [{"trace": "main"}, {"trace": "twin", "twin_delta": twin_delta}]
-    results = _map_points(TRAIN_COMPARE, config, [(), ()], extras)
+    results = _map_points(_compare_trace, config, [None, twin_delta])
     (main_rows, main_diag), (twin_rows, _) = results
     rows = np.column_stack([main_rows[:, 0], main_rows[:, 1], twin_rows[:, 1]])
-    columns = ["t_ns", "abs_A2_main", "abs_A2_twin"]
-    derived = _common_derived(config)
-    derived["twin_coupling_mhz"] = angular_to_mhz(twin_omega)
-    derived["twin_half_width_mhz"] = angular_to_mhz(twin_delta)
-    derived["twin_reference_coupling_mhz"] = config.compare.twin_coupling_mhz
-    derived["twin_rabi_mhz"] = config.compare.twin_rabi_mhz
-    derived["tau_pairs_ns"] = [main_diag["tau_ns"]]
-    return _finish(config, columns, [rows], derived, [r[1] for r in results])
+    derived = {
+        "twin_coupling_mhz": angular_to_mhz(twin_omega),
+        "twin_half_width_mhz": angular_to_mhz(twin_delta),
+        "twin_reference_coupling_mhz": config.compare.twin_coupling_mhz,
+        "twin_rabi_mhz": config.compare.twin_rabi_mhz,
+        "tau_pairs_ns": [main_diag["tau_ns"]],
+    }
+    return _finish(config, scenario.columns, [rows], derived,
+                   [r[1] for r in results])
 
 
 # --- max-scan ---
 
 
-def _max_scan_point(config, assignment, extra):
-    cfg = apply_assignment(config, assignment)
-    params, density, eta = _build_point(cfg)
-    dt = cfg.grid.dt_ns
-    tau = snap_to_grid(cfg.drive.tau_ns, dt)
-    steps_per_tau = int(round(tau / dt))
-    tgrid = TimeGrid(0.0, dt, cfg.drive.n_pulses * steps_per_tau + 1)
-    protocol = phase_switched_train(eta, tau, cfg.drive.n_pulses)
-    a = volterra.solve(params, density, protocol, tgrid)
-    a2 = a.abs2()
+def _max_scan_point(config, assignment):
+    rows, diag = _train_point(config, assignment)
+    a2 = rows[:, 1]
     settled = a2[int(len(a2) * (1.0 - _SETTLED_FRACTION)):]
     detuning = dict(assignment).get(
         "probe_offset_mhz",
-        (cfg.system.probe_ghz - cfg.system.cavity_ghz) * 1e3,
+        (config.system.probe_ghz - config.system.cavity_ghz) * 1e3,
     )
-    row = np.array([[math.pi / tau, detuning, settled.max()]])
-    return row, {"assignment": dict(assignment),
-                 "tau_ns": {"requested": cfg.drive.tau_ns, "snapped": tau}}
-
-
-def run_max_amplitude_scan(config: ScenarioConfig) -> ResultTable:
-    """Settled oscillation maximum of a long train over a (detuning, tau)
-    product scan; the first column is pi/tau in rad/ns so the resonance
-    condition reads pi/tau = half the oscillation frequency."""
-    if not any(ax.parameter == "tau_ns" for ax in config.sweep):
-        raise ConfigError("max-scan needs a tau_ns sweep axis")
-    for ax in config.sweep:
-        if ax.parameter == "coupling_mhz":
-            raise ConfigError("max-scan sweeps tau_ns and probe_offset_mhz only")
-    if config.drive.n_pulses is None:
-        raise ConfigError("max-scan needs drive.n_pulses")
-    assignments = iter_assignments(config)
-    results = _map_points(MAX_SCAN, config, assignments)
-    columns = ["pi_over_tau_rad_ns", "detuning_mhz", "max_abs_A2"]
-    derived = _common_derived(config)
-    derived["settled_fraction"] = _SETTLED_FRACTION
-    derived["tau_pairs_ns"] = [r[1]["tau_ns"] for r in results]
-    return _finish(config, columns, [r[0] for r in results], derived,
-                   [r[1] for r in results])
+    row = np.array([[math.pi / diag["tau_ns"]["snapped"], detuning, settled.max()]])
+    return row, diag
 
 
 # --- lorentz-analytic ---
 
 
-def run_lorentz_analytic(config: ScenarioConfig) -> ResultTable:
+def _run_lorentz_analytic(config, scenario) -> ResultTable:
     """Closed-form rectangular-pulse response of the Lorentzian model.
 
     The post-pulse branch assumes the drive phase has settled, so the
     configured duration should exceed a few multiples of
     1/(half-width + kappa).
     """
-    if config.sweep:
-        raise ConfigError("lorentz-analytic takes no sweep axes")
-    if config.density.kind != "lorentz":
-        raise ConfigError("lorentz-analytic needs density.kind == 'lorentz'")
-    if config.drive.kind != "rect" or config.drive.duration_ns is None:
-        raise ConfigError("lorentz-analytic needs a rect drive with duration_ns")
-    if config.grid.t_end_ns is None:
-        raise ConfigError("lorentz-analytic needs grid.t_end_ns")
     params, _, eta = _build_point(config)
-    duration = snap_to_grid(config.drive.duration_ns, config.grid.dt_ns)
+    duration, tgrid = _rect_pulse_grid(config)
     p = lorentz.LorentzParams(
         Omega=params.Omega,
         Delta=mhz_to_angular(config.density.fwhm_mhz) / 2.0,
         kappa=params.kappa,
         eta=eta,
-        tau_d=duration,
+        tau_d=duration["snapped"],
     )
-    tgrid = _time_grid(config, config.grid.t_end_ns)
     t = tgrid.times()
-    on = t <= duration
+    on = t <= duration["snapped"]
     a = np.where(on, lorentz.cavity_on(p, t), lorentz.cavity_off(p, t))
     jx = np.where(on, lorentz.spin_on(p, t), lorentz.spin_off(p, t))
     rows = np.column_stack([t, a**2, jx**2, np.zeros_like(t)])
-    derived = _common_derived(config)
-    derived["duration_ns"] = {"requested": config.drive.duration_ns,
-                              "snapped": duration}
-    return _finish(config, ["t_ns", "abs_A2", "Jx2", "Jy2"], [rows], derived, [])
+    return _finish(config, scenario.columns, [rows], {"duration_ns": duration}, [])
 
 
-_POINT_RUNNERS = {
-    LONG_PULSE: _long_pulse_point,
-    TRAIN_MAP: _train_point,
-    GAMMA_SWEEP: _gamma_point,
-    TRAIN_COMPARE: _compare_point,
-    MAX_SCAN: _max_scan_point,
+# ---------------------------------------------------------------------------
+# scenario table
+
+
+def _run_points(config, scenario) -> ResultTable:
+    """One point per sweep assignment, stacked in order; axis columns
+    carry the values the point ran at (for tau, the snapped one)."""
+    assignments = iter_assignments(config)
+    results = _map_points(scenario.point, config, assignments)
+    blocks, diags = [], []
+    for assignment, (rows, diag) in zip(assignments, results):
+        if scenario.axis_columns:
+            values = [diag["tau_ns"]["snapped"] if name == "tau_ns" else value
+                      for name, value in assignment]
+            rows = np.column_stack([np.full((len(rows), len(values)), values), rows])
+        blocks.append(rows)
+        diags.append(diag | {"assignment": dict(assignment)})
+    axes = [name for name, _ in assignments[0]] if scenario.axis_columns else []
+    return _finish(config, axes + list(scenario.columns), blocks,
+                   scenario.derived(config, diags), diags)
+
+
+@dataclass(frozen=True)
+class _Scenario:
+    """One scenario's shape rules, checked before any solve, and how its
+    table is built: ``point(config, assignment) -> (rows, diagnostics)``
+    mapped over the sweep, plus ``derived(config, diagnostics)`` manifest
+    fields, unless ``run`` replaces that path. ``resonant`` pins spins,
+    probe and line center to the cavity and the spin loss to zero.
+    """
+
+    columns: tuple[str, ...]
+    axes: tuple[str, ...] = ()
+    required_axis: str | None = None
+    drive: str | None = None
+    required: tuple[str, ...] = ()
+    densities: tuple[str, ...] | None = None
+    resonant: bool = False
+    point: Callable | None = None
+    axis_columns: bool = False
+    derived: Callable = lambda config, diags: {}
+    run: Callable = _run_points
+
+    def check(self, config: ScenarioConfig) -> None:
+        name = config.scenario
+        axes = [ax.parameter for ax in config.sweep]
+        for axis in axes:
+            if axis not in self.axes:
+                raise ConfigError(f"{name} cannot sweep {axis}; its sweep axes "
+                                  f"are {list(self.axes)}")
+        if len(set(axes)) < len(axes):
+            raise ConfigError(f"{name} sweeps a parameter on two axes: {axes}")
+        if self.required_axis and self.required_axis not in axes:
+            raise ConfigError(f"{name} needs a {self.required_axis} sweep axis")
+        if self.drive and config.drive.kind != self.drive:
+            raise ConfigError(f"{name} needs drive.kind {self.drive!r}, "
+                              f"got {config.drive.kind!r}")
+        for field in self.required:
+            if _field(config, field) is None:
+                raise ConfigError(f"{name} needs {field}")
+        if self.densities and config.density.kind not in self.densities:
+            raise ConfigError(f"{name} needs density.kind in {list(self.densities)}, "
+                              f"got {config.density.kind!r}")
+        if self.resonant:
+            cavity = config.system.cavity_ghz
+            pins = {"system.spin_ghz": cavity, "system.probe_ghz": cavity,
+                    "density.center_ghz": cavity, "system.spin_loss_mhz": 0.0}
+            for field, value in pins.items():
+                if _field(config, field) != value:
+                    raise ConfigError(
+                        f"{name} is resonant with lossless spins: {field} must be "
+                        f"{value}, got {_field(config, field)}")
+
+
+def _field(config, dotted):
+    group, key = dotted.split(".")
+    return getattr(getattr(config, group), key)
+
+
+def _tau_pairs(config, diags):
+    return {"tau_pairs_ns": [d["tau_ns"] for d in diags]}
+
+
+_SCENARIO_TABLE = {
+    # One rectangular pulse: cavity intensity and both collective-spin
+    # quadratures over the full grid (drive plus free-decay tail).
+    "long-pulse": _Scenario(
+        columns=("t_ns", "abs_A2", "Jx2", "Jy2"),
+        axes=("coupling_mhz", "probe_offset_mhz"),
+        drive="rect",
+        required=("drive.duration_ns", "grid.t_end_ns"),
+        point=_long_pulse_point,
+        axis_columns=True,
+        derived=lambda config, diags: {"duration_ns": diags[0]["duration_ns"]},
+    ),
+    # Phase-switched train for every tau on the sweep axis, long format
+    # (tau, t, intensity). The tau column carries the snapped value.
+    "train-map": _Scenario(
+        columns=("t_ns", "abs_A2"),
+        axes=SWEEPABLE,
+        required_axis="tau_ns",
+        drive="train",
+        required=("drive.n_pulses",),
+        point=_train_point,
+        axis_columns=True,
+        derived=_tau_pairs,
+    ),
+    # Intensity decay rate of the single-photon free decay versus
+    # coupling, next to the four closed-form estimates, in MHz (rate / 2 pi).
+    "gamma-sweep": _Scenario(
+        columns=("Omega_mhz", "Gamma_timefit_mhz", "Gamma_markov_mhz",
+                 "Gamma_asymptotic_mhz", "Gamma_lorentz_mhz",
+                 "Gamma_nobroadening_mhz"),
+        axes=("coupling_mhz",),
+        required_axis="coupling_mhz",
+        point=_gamma_point,
+        derived=lambda config, diags: {
+            "formula_delta_mhz": config.compare.formula_delta_mhz,
+            "rate_units": "MHz (Gamma / 2 pi), intensity rates",
+        },
+    ),
+    "train-compare": _Scenario(
+        columns=("t_ns", "abs_A2_main", "abs_A2_twin"),
+        drive="train",
+        required=("drive.tau_ns", "drive.n_pulses"),
+        densities=("qgauss", "delta"),
+        run=_run_train_compare,
+    ),
+    # Settled oscillation maximum of a long train over a (detuning, tau)
+    # product scan; pi/tau in rad/ns, so the resonance condition reads
+    # pi/tau = half the oscillation frequency.
+    "max-scan": _Scenario(
+        columns=("pi_over_tau_rad_ns", "detuning_mhz", "max_abs_A2"),
+        axes=("probe_offset_mhz", "tau_ns"),
+        required_axis="tau_ns",
+        drive="train",
+        required=("drive.n_pulses",),
+        point=_max_scan_point,
+        derived=lambda config, diags: {"settled_fraction": _SETTLED_FRACTION,
+                                       **_tau_pairs(config, diags)},
+    ),
+    "lorentz-analytic": _Scenario(
+        columns=("t_ns", "abs_A2", "Jx2", "Jy2"),
+        drive="rect",
+        required=("drive.duration_ns", "grid.t_end_ns"),
+        densities=("lorentz",),
+        resonant=True,
+        run=_run_lorentz_analytic,
+    ),
 }
 
-RUNNERS = {
-    LONG_PULSE: run_long_pulse,
-    TRAIN_MAP: run_pulse_train_map,
-    GAMMA_SWEEP: run_gamma_sweep,
-    TRAIN_COMPARE: run_train_compare,
-    MAX_SCAN: run_max_amplitude_scan,
-    LORENTZ_ANALYTIC: run_lorentz_analytic,
-}
+SCENARIOS = tuple(_SCENARIO_TABLE)
 
 
 def run_scenario(config: ScenarioConfig) -> ResultTable:
-    return RUNNERS[config.scenario](config)
+    """Check the config against its scenario's shape rules, then run it."""
+    scenario = _SCENARIO_TABLE[config.scenario]
+    scenario.check(config)
+    return scenario.run(config, scenario)
 
 
 def _common_derived(config: ScenarioConfig) -> dict:

@@ -286,11 +286,6 @@ def residue_weight(
     return 1.0 / dprime
 
 
-def residue(params: SystemParams, density: SpinDensity, pole: PoleSolution) -> complex:
-    """Residue weight of an already-located pole (see residue_weight)."""
-    return residue_weight(params, density, pole.sigma, pole.omega)
-
-
 # ---------------------------------------------------------------------------
 # branch cut
 
@@ -430,11 +425,13 @@ def intensity_peaks(a2: np.ndarray) -> np.ndarray:
     """Indices of the interior |A|^2 maxima above the noise floor.
 
     A free decay whose amplitude changes sign passes through a node and
-    revives, so each such maximum samples the intensity envelope.
+    revives, so each such maximum samples the intensity envelope. The
+    floor is relative to |A(0)|^2, like the time-fit window, so the
+    peaks found do not depend on the trace's scale.
     """
     interior = (a2[1:-1] > a2[:-2]) & (a2[1:-1] >= a2[2:])
     idx = np.nonzero(interior)[0] + 1
-    return idx[a2[idx] > _PEAK_FLOOR]
+    return idx[a2[idx] > _PEAK_FLOOR * a2[0]]
 
 
 def decay_rate_timefit(series: ComplexSeries) -> DecayRateEstimate:

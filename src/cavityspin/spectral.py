@@ -217,11 +217,6 @@ class DiracDeltaDensity:
 SpinDensity = QGaussianDensity | LorentzianDensity | DiracDeltaDensity
 
 
-def qgauss_eval(density: QGaussianDensity, omega):
-    """Pointwise q-Gaussian evaluation (valid inside and outside support)."""
-    return density.pdf(omega)
-
-
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Uniform trapezoid quadrature grid over a density's support."""

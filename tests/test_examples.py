@@ -1,0 +1,83 @@
+"""The shipped example configs and the config schema.
+
+Every `docs/examples/*.json` runs through the CLI on a coarse grid, and
+`docs/config_schema.json` must describe the parser: the same scenarios,
+sweep parameters, group keys and defaults.
+"""
+
+import dataclasses
+import json
+from pathlib import Path
+
+import pytest
+
+from cavityspin import harness
+from cavityspin.cli import main
+
+DOCS = Path(__file__).resolve().parent.parent / "docs"
+EXAMPLES = sorted((DOCS / "examples").glob("*.json"))
+
+COLUMNS = {
+    "long-pulse": ["t_ns", "abs_A2", "Jx2", "Jy2"],
+    "train-map": ["tau_ns", "t_ns", "abs_A2"],
+    "gamma-sweep": ["Omega_mhz", "Gamma_timefit_mhz", "Gamma_markov_mhz",
+                    "Gamma_asymptotic_mhz", "Gamma_lorentz_mhz",
+                    "Gamma_nobroadening_mhz"],
+    "train-compare": ["t_ns", "abs_A2_main", "abs_A2_twin"],
+    "max-scan": ["pi_over_tau_rad_ns", "detuning_mhz", "max_abs_A2"],
+    "lorentz-analytic": ["t_ns", "abs_A2", "Jx2", "Jy2"],
+}
+
+
+def test_every_scenario_has_an_example():
+    scenarios = {json.loads(p.read_text())["scenario"] for p in EXAMPLES}
+    assert scenarios == set(harness.SCENARIOS) == set(COLUMNS)
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)
+def test_example_runs_through_cli(path, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(harness.WORKER_ENV, "1")
+    scenario = json.loads(path.read_text())["scenario"]
+    base = tmp_path / path.stem
+    assert main([scenario, str(path), "grid.dt_ns=0.5", f"output={base}"]) == 0
+    lines = Path(f"{base}.csv").read_text().splitlines()
+    assert lines[0].split(",") == COLUMNS[scenario]
+    assert len(lines) > 1
+    manifest = json.loads(Path(f"{base}.manifest.json").read_text())
+    assert manifest["columns"] == COLUMNS[scenario]
+    assert manifest["n_rows"] == len(lines) - 1
+
+
+SCHEMA = json.loads((DOCS / "config_schema.json").read_text())
+GROUPS = {
+    "system": harness.SystemSpec,
+    "density": harness.DensitySpec,
+    "drive": harness.DriveSpec,
+    "grid": harness.GridSpec,
+    "compare": harness.CompareSpec,
+}
+
+
+def test_schema_enums_match_parser():
+    props = SCHEMA["properties"]
+    assert tuple(props["scenario"]["enum"]) == harness.SCENARIOS
+    axis = props["sweep"]["items"]["properties"]["parameter"]
+    assert tuple(axis["enum"]) == harness.SWEEPABLE
+
+
+@pytest.mark.parametrize("node, spec", [
+    (SCHEMA, harness.ScenarioConfig),
+    (SCHEMA["properties"]["sweep"]["items"], harness.SweepSpec),
+    *[(SCHEMA["properties"][name], spec) for name, spec in GROUPS.items()],
+], ids=["config", "sweep", *GROUPS])
+def test_schema_keys_and_defaults_match_parser(node, spec):
+    fields = {f.name: f for f in dataclasses.fields(spec)}
+    assert set(node["properties"]) == set(fields)
+    for name, prop in node["properties"].items():
+        if "default" in prop:
+            assert prop["default"] == fields[name].default, name
+    if spec in GROUPS.values():
+        # Every scalar default of a group is documented.
+        for name, field in fields.items():
+            if field.default not in (dataclasses.MISSING, None):
+                assert node["properties"][name].get("default") == field.default, name

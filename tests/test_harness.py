@@ -94,12 +94,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             ScenarioConfig.from_mapping(mapping)
 
-    def test_bad_sweep_parameter_rejected(self):
+    def test_bad_sweep_parameter_rejected(self, monkeypatch):
         mapping = base_mapping(
             sweep=[{"parameter": "kappa_mhz", "values": [1.0]}]
         )
         with pytest.raises(ConfigError):
             ScenarioConfig.from_mapping(mapping)
+        # A known parameter the scenario cannot sweep: tau_ns changes
+        # nothing in a single rectangular pulse. It fails before any solve.
+        monkeypatch.setattr(volterra, "solve", None)
+        cfg = ScenarioConfig.from_mapping(base_mapping(
+            sweep=[{"parameter": "tau_ns", "values": [10.0, 20.0]}]
+        ))
+        with pytest.raises(ConfigError, match="tau_ns"):
+            run_scenario(cfg)
 
     def test_bool_is_not_a_number(self):
         mapping = base_mapping()
@@ -312,6 +320,14 @@ class TestTrainMap:
         ))
         with pytest.raises(ConfigError, match="tau_ns"):
             run_scenario(cfg)
+        # The tau axis drives a train, so the drive must say so.
+        cfg = ScenarioConfig.from_mapping(base_mapping(
+            scenario="train-map",
+            drive={"kind": "rect", "n_pulses": 3},
+            sweep=[{"parameter": "tau_ns", "values": [30.0]}],
+        ))
+        with pytest.raises(ConfigError, match="drive.kind"):
+            run_scenario(cfg)
 
     def test_tau_column_carries_snapped_value(self):
         cfg = ScenarioConfig.from_mapping(base_mapping(
@@ -441,6 +457,13 @@ class TestTrainCompare:
         ))
         with pytest.raises(ConfigError):
             run_scenario(cfg)
+        # Nor a rectangular drive in place of the train.
+        cfg = ScenarioConfig.from_mapping(base_mapping(
+            scenario="train-compare",
+            drive={"kind": "rect", "tau_ns": 19.5, "n_pulses": 3},
+        ))
+        with pytest.raises(ConfigError, match="drive.kind"):
+            run_scenario(cfg)
 
 
 class TestMaxScan:
@@ -475,6 +498,14 @@ class TestMaxScan:
         ))
         with pytest.raises(ConfigError):
             run_scenario(cfg)
+        # Nor a rectangular drive in place of the train.
+        cfg = ScenarioConfig.from_mapping(base_mapping(
+            scenario="max-scan",
+            drive={"kind": "rect", "n_pulses": 3},
+            sweep=[{"parameter": "tau_ns", "values": [30.0]}],
+        ))
+        with pytest.raises(ConfigError, match="drive.kind"):
+            run_scenario(cfg)
 
 
 class TestLorentzAnalytic:
@@ -493,6 +524,25 @@ class TestLorentzAnalytic:
         assert np.all(np.isfinite(a2))
         # The closed form has no out-of-phase spin quadrature on resonance.
         assert np.max(table.column("Jy2")) == 0.0
+
+    @pytest.mark.parametrize("group, key, value", [
+        ("system", "probe_ghz", CAVITY_GHZ + 0.01),
+        ("system", "spin_ghz", CAVITY_GHZ + 0.01),
+        ("density", "center_ghz", CAVITY_GHZ - 0.01),
+        ("system", "spin_loss_mhz", 5.0),
+    ])
+    def test_rejects_detuned_or_lossy(self, group, key, value):
+        # The closed form is resonant with lossless spins; anything else
+        # would come back as the resonant table, silently.
+        mapping = base_mapping(
+            scenario="lorentz-analytic",
+            grid={"dt_ns": 0.2, "t_end_ns": 300.0},
+            drive={"kind": "rect", "duration_ns": 200.0},
+        )
+        mapping["density"] = {"kind": "lorentz", "fwhm_mhz": 9.196}
+        mapping[group][key] = value
+        with pytest.raises(ConfigError, match=f"{group}.{key}"):
+            run_scenario(ScenarioConfig.from_mapping(mapping))
 
 
 class TestDeterminism:

@@ -16,7 +16,6 @@ from cavityspin import (
     lamb_shift,
     mhz_to_angular,
     normalize,
-    qgauss_eval,
     sokhotski_split,
 )
 from cavityspin.spectral import qgauss_norm
@@ -98,8 +97,8 @@ class TestQGaussianShape:
         expected = qg.norm_constant * (
             1.0 + (qg.q - 1.0) * ((outside - qg.omega_s) / qg.delta) ** 2
         ) ** (-p)
-        assert qgauss_eval(qg, outside) == pytest.approx(expected, rel=1e-14)
-        assert qgauss_eval(qg, outside) > 0
+        assert qg.pdf(outside) == pytest.approx(expected, rel=1e-14)
+        assert qg.pdf(outside) > 0
 
 
 class TestNormalization:
