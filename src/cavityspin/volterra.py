@@ -10,20 +10,24 @@ drive and any initial amplitude. Both are evaluated in closed form on
 the quadrature grid, so the only discretization is the trapezoidal
 product integration of the memory term.
 
-Long runs are marched segment by segment (one segment per constant-drive
-interval): each segment restarts the convolution with a short local
-history, and everything older enters through a per-frequency accumulator
-I_n(omega). The segmented recurrence is algebraically identical to the
-full-history trapezoid rule, which `solve_direct` implements for cross
-checking on short grids.
+Every sum over the uniform frequency grid (the kernel table, the
+collective-spin propagator, the ring-down source) is a chirp-z sum,
+evaluated as one FFT convolution (Bluestein; Rabiner, Schafer & Rader
+1969). Because K(0) = 0, the trapezoid rule over the whole time grid is
+a unit lower-triangular Toeplitz system: `solve` inverts its symbol as a
+power series by Newton doubling and applies the inverse with one more
+FFT convolution (Hairer, Lubich & Schlichte 1985), then checks the
+residual of the discrete system it solved. `solve_direct` marches the
+same rule step by step, with a kernel from per-lag direct sums, as the
+O(n^2) reference on short grids.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from .core import ComplexSeries, DriveProtocol, SystemParams, TimeGrid
 from .spectral import (
@@ -33,9 +37,10 @@ from .spectral import (
     grid_for_density,
 )
 
-# Phase recurrences multiply a unit-modulus step; recompute the exact
-# exponential this often to keep accumulated rounding below ~1e-13.
-_REFRESH = 512
+# Largest relative residual (normwise backward error) of the discrete
+# trapezoid system that `solve` accepts; FFT round-off leaves <= 2e-13
+# on the example configs.
+RESIDUAL_TOL = 1e-10
 
 
 def _mass_weights(density: SpinDensity, grid: FrequencyGrid) -> np.ndarray:
@@ -43,6 +48,38 @@ def _mass_weights(density: SpinDensity, grid: FrequencyGrid) -> np.ndarray:
     if isinstance(density, DiracDeltaDensity):
         return np.array([1.0])
     return density.pdf(grid.omegas) * grid.weights
+
+
+def _conv(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """First n terms of the linear convolution a * b, by FFT."""
+    a, b = a[:n], b[:n]
+    size = next_fast_len(len(a) + len(b) - 1)
+    spectrum = np.fft.fft(a, size)
+    spectrum *= np.fft.fft(b, size)
+    return np.fft.ifft(spectrum)[:n].copy()  # frees the padded buffer
+
+
+def _node_sum(coef: np.ndarray, grid: FrequencyGrid, offset: float, dt: float,
+              n: int, start: int = 0) -> np.ndarray:
+    """sum_i coef_i e^{-i (omega_i - offset) m dt} for m = start .. start+n-1.
+
+    Chirp-z form: with omega_i = omega_0 + k d_omega (k counted from the
+    centre node) and k m = (k^2 + m^2 - (m - k)^2) / 2, the node sum is
+    one FFT convolution with a chirp. The squares are exact integers
+    before they meet theta = d_omega dt.
+    """
+    j0 = grid.n // 2
+    k = np.arange(grid.n) - j0
+    m = np.arange(start, start + n)
+    d = np.arange(start - k[-1], start + n - k[0])
+    # A one-node grid's d_omega is a placeholder; its chirp would only
+    # add rounding.
+    theta = grid.d_omega * dt if grid.n > 1 else 0.0
+    size = next_fast_len(n + grid.n - 1)
+    spectrum = np.fft.fft(coef * np.exp(-0.5j * theta * (k * k)), size)
+    spectrum *= np.fft.fft(np.exp(0.5j * theta * (d * d)), size)
+    phase = (grid.omegas[j0] - offset) * dt * m + 0.5 * theta * (m * m)
+    return np.exp(-1j * phase) * np.fft.ifft(spectrum)[grid.n - 1:grid.n - 1 + n]
 
 
 class KernelCache:
@@ -59,6 +96,8 @@ class KernelCache:
                  grid: FrequencyGrid, dt: float):
         self.dt = dt
         self._omega2 = params.Omega**2
+        self._grid = grid
+        self._omega_p = params.omega_p
         self._nu = grid.omegas - params.omega_p
         u = grid.omegas - params.omega_c + 1j * params.kappa
         self._c = _mass_weights(density, grid) / (1j * u)
@@ -67,24 +106,18 @@ class KernelCache:
         self._k = np.zeros(1, dtype=complex)  # K(0) = 0
 
     def single(self, m: int) -> complex:
-        """Direct evaluation at lag index m (no recurrences)."""
+        """Direct evaluation at lag index m (one sum over the nodes)."""
         x = m * self.dt
         val = self._c @ np.exp(-1j * self._nu * x) - self._csum * np.exp(-1j * self._wb * x)
         return self._omega2 * complex(val)
 
     def values(self, n_lags: int) -> np.ndarray:
-        """K at lags 0 .. n_lags-1, extending the cache as needed."""
+        """K at lags 0 .. n_lags-1; an extension appends only the new lags."""
         start = len(self._k)
         if n_lags > start:
-            ext = np.empty(n_lags - start, dtype=complex)
-            step = np.exp(-1j * self._nu * self.dt)
-            e = np.exp(-1j * self._nu * (start * self.dt))
-            cav = self._csum * np.exp(-1j * self._wb * self.dt * np.arange(start, n_lags))
-            for i, m in enumerate(range(start, n_lags)):
-                if i and i % _REFRESH == 0:
-                    e = np.exp(-1j * self._nu * (m * self.dt))
-                ext[i] = self._c @ e - cav[i]
-                e = e * step
+            m = np.arange(start, n_lags)
+            ext = (_node_sum(self._c, self._grid, self._omega_p, self.dt, n_lags - start, start)
+                   - self._csum * np.exp(-1j * self._wb * self.dt * m))
             self._k = np.concatenate([self._k, self._omega2 * ext])
         return self._k[:n_lags]
 
@@ -135,48 +168,79 @@ def forcing_F(params: SystemParams, protocol: DriveProtocol, t):
     return out
 
 
-@dataclass
-class SolverMemory:
-    """Cross-segment state: boundary amplitude and frequency accumulator.
-
-    Fresh dynamics start from vacuum: A(T_1) = 0 and I_1(omega) = 0.
-    """
-
-    boundary_amplitude: complex
-    accumulator: np.ndarray
-
-    @classmethod
-    def vacuum(cls, n_freq: int, a0: complex = 0.0) -> "SolverMemory":
-        return cls(boundary_amplitude=complex(a0),
-                   accumulator=np.zeros(n_freq, dtype=complex))
-
-
-def _plan_segments(protocol: DriveProtocol, tgrid: TimeGrid) -> list[tuple[int, complex]]:
-    """Split the grid's n_steps-1 intervals into constant-drive segments."""
+def _check_segments(protocol: DriveProtocol, tgrid: TimeGrid) -> None:
+    """Require dt to divide every drive segment that starts inside the grid."""
     n_int = tgrid.n_steps - 1
-    plan: list[tuple[int, complex]] = []
     used = 0
-    for dur, eta in protocol.segments:
+    for dur, _ in protocol.segments:
+        if used >= n_int:
+            break
         steps = int(round(dur / tgrid.dt))
         if steps < 1 or abs(steps * tgrid.dt - dur) > 1e-9 * max(dur, 1.0):
             raise ValueError(
                 f"segment duration {dur} is not a positive multiple of dt = {tgrid.dt}"
             )
-        if used + steps >= n_int:
-            plan.append((n_int - used, eta))
-            used = n_int
-            break
-        plan.append((steps, eta))
         used += steps
-    if used < n_int:
-        plan.append((n_int - used, 0j))
-    return plan
+
+
+def _forcing(params: SystemParams, protocol: DriveProtocol, tgrid: TimeGrid,
+             a0: complex) -> np.ndarray:
+    """Closed-form forcing on the grid, plus the free ring-down of a0."""
+    times = tgrid.times()
+    forcing = np.asarray(forcing_F(params, protocol, times), dtype=complex)
+    if a0 != 0.0:
+        forcing = forcing + a0 * np.exp(-1j * params.omega_bar * times)
+    return forcing
+
+
+def _series_inverse(b: np.ndarray, n: int) -> np.ndarray:
+    """First n coefficients of 1/b(z) for b[0] = 1, by Newton doubling:
+    y <- y (2 - b y) doubles the number of correct terms."""
+    y = np.ones(1, dtype=complex)
+    while len(y) < n:
+        m = min(2 * len(y), n)
+        err = _conv(b, y, m)[len(y):]  # b y = 1 + z^len(y) err
+        y = np.concatenate([y, -_conv(y, err, m - len(y))])
+    return y
+
+
+def _march(k: np.ndarray, forcing: np.ndarray, dt: float) -> np.ndarray:
+    """Trapezoid rule a_j = F_j + dt [K_j a_0 / 2 + sum_{0<l<j} K_{j-l} a_l].
+
+    With K(0) = 0 this is a unit lower-triangular Toeplitz system, solved
+    by one series inverse and one convolution. Before the first non-zero
+    forcing sample the amplitude is exactly 0, and that sample is an
+    interior point with full weight; only a t = 0 start has half weight,
+    whose missing half moves to the right-hand side. Raises ValueError
+    when the relative residual of the solved system exceeds RESIDUAL_TOL.
+    """
+    n = len(forcing)
+    a = np.zeros(n, dtype=complex)
+    nonzero = np.flatnonzero(forcing)
+    if nonzero.size == 0:
+        return a
+    s = nonzero[0]
+    rhs = forcing[s:]
+    if s == 0:
+        rhs = rhs - (0.5 * dt * forcing[0]) * k
+    kdt = dt * k[:n - s]
+    symbol = -kdt
+    symbol[0] = 1.0  # K(0) = 0
+    x = _conv(_series_inverse(symbol, n - s), rhs, n - s)
+    # Normwise backward error, max norm: |r| / (|I - T| |x| + |rhs|).
+    scale = (1.0 + np.abs(kdt).sum()) * np.abs(x).max() + np.abs(rhs).max()
+    residual = np.abs(x - _conv(kdt, x, n - s) - rhs).max() / scale
+    if not residual <= RESIDUAL_TOL:
+        raise ValueError(f"trapezoid system residual {residual:.2e} exceeds "
+                         f"{RESIDUAL_TOL:.0e}")
+    a[s:] = x
+    return a
 
 
 def solve(params: SystemParams, density: SpinDensity, protocol: DriveProtocol,
           tgrid: TimeGrid, a0: complex = 0.0,
           grid: FrequencyGrid | None = None) -> ComplexSeries:
-    """March the memory equation with the segmented recurrence.
+    """March the memory equation over the whole grid in one Toeplitz solve.
 
     The time grid must start at 0 and dt must divide every drive segment
     (the harness snaps requested durations before calling). ``a0`` is an
@@ -184,89 +248,14 @@ def solve(params: SystemParams, density: SpinDensity, protocol: DriveProtocol,
     """
     if tgrid.t_start != 0.0:
         raise ValueError("solve expects a grid starting at t = 0")
+    _check_segments(protocol, tgrid)
+    forcing = _forcing(params, protocol, tgrid, a0)
+    if params.Omega == 0.0:
+        return ComplexSeries(grid=tgrid, values=forcing)
     if grid is None:
         grid = grid_for_density(density, t_max=tgrid.t_end)
-    plan = _plan_segments(protocol, tgrid)
-
-    dt = tgrid.dt
-    nu = grid.omegas - params.omega_p
-    u = grid.omegas - params.omega_c + 1j * params.kappa
-    m = _mass_weights(density, grid)
-    c = m / (1j * u)
-    wb = params.omega_bar
-    om2 = params.Omega**2
-
-    max_lag = max(L for L, _ in plan) + 1
-    if om2 != 0.0:
-        kernel = KernelCache(params, density, grid, dt)
-        k_full = kernel.values(max_lag)
-    else:
-        k_full = np.zeros(max_lag, dtype=complex)
-
-    n = tgrid.n_steps
-    A = np.empty(n, dtype=complex)
-    mem = SolverMemory.vacuum(len(nu), a0)
-    A[0] = mem.boundary_amplitude
-
-    step = np.exp(-1j * nu * dt)
-    cstep = np.conj(step)
-    pos = 0
-    for seg_idx, (L, eta) in enumerate(plan):
-        last = seg_idx == len(plan) - 1
-        k = k_full
-        a_b = mem.boundary_amplitude
-        d = c * mem.accumulator
-        have_memory = om2 != 0.0 and np.any(mem.accumulator)
-        s_sum = complex(d.sum()) if have_memory else 0j
-
-        ebar = np.exp(-1j * wb * dt * np.arange(L + 1))
-        base = ebar * (a_b - om2 * s_sum) - eta * (1.0 - ebar) / (1j * wb)
-
-        a_loc = np.empty(L + 1, dtype=complex)
-        a_loc[0] = a_b
-        rev = np.zeros(L + 1, dtype=complex)
-        rev[L] = a_b
-
-        e = np.ones(len(nu), dtype=complex)
-        ec = np.ones(len(nu), dtype=complex)
-        acc = None
-        if not last:
-            acc = (0.5 * dt * a_b) * np.ones(len(nu), dtype=complex)
-
-        for j in range(1, L + 1):
-            if have_memory:
-                if j % _REFRESH == 0:
-                    e = np.exp(-1j * nu * (j * dt))
-                else:
-                    e = e * step
-            if acc is not None:
-                if j % _REFRESH == 0:
-                    ec = np.exp(1j * nu * (j * dt))
-                else:
-                    ec = ec * cstep
-            f_j = base[j]
-            if have_memory:
-                f_j = f_j + om2 * (e @ d)
-            if om2 != 0.0:
-                s = 0.5 * k[j] * a_loc[0]
-                if j > 1:
-                    s += k[1:j] @ rev[L - j + 1:L]
-                f_j = f_j + dt * s
-            a_loc[j] = f_j
-            rev[L - j] = f_j
-            if acc is not None:
-                w_j = dt if j < L else 0.5 * dt
-                acc += (w_j * f_j) * ec
-
-        A[pos:pos + L + 1] = a_loc
-        pos += L
-        if not last:
-            phase_l = np.exp(-1j * nu * (L * dt))
-            mem = SolverMemory(
-                boundary_amplitude=complex(a_loc[L]),
-                accumulator=phase_l * (mem.accumulator + acc),
-            )
-    return ComplexSeries(grid=tgrid, values=A)
+    k = KernelCache(params, density, grid, tgrid.dt).values(tgrid.n_steps)
+    return ComplexSeries(grid=tgrid, values=_march(k, forcing, tgrid.dt))
 
 
 MAX_DIRECT_STEPS = 4096
@@ -291,7 +280,7 @@ def _march_full(k: np.ndarray, forcing: np.ndarray, dt: float) -> np.ndarray:
 def solve_direct(params: SystemParams, density: SpinDensity,
                  protocol: DriveProtocol, tgrid: TimeGrid, a0: complex = 0.0,
                  grid: FrequencyGrid | None = None) -> ComplexSeries:
-    """Reference solver keeping the entire convolution history.
+    """Reference solver: step-by-step march, kernel from per-lag sums.
 
     Quadratic in n_steps, so grids beyond MAX_DIRECT_STEPS samples are
     refused; use `solve` for production runs.
@@ -303,17 +292,31 @@ def solve_direct(params: SystemParams, density: SpinDensity,
             f"solve_direct is capped at {MAX_DIRECT_STEPS} samples, "
             f"got {tgrid.n_steps}; use solve for long grids"
         )
-    # Validates divisibility the same way solve does.
-    _plan_segments(protocol, tgrid)
+    _check_segments(protocol, tgrid)
     if grid is None:
         grid = grid_for_density(density, t_max=tgrid.t_end)
-    times = tgrid.times()
-    forcing = np.asarray(forcing_F(params, protocol, times), dtype=complex)
-    if a0 != 0.0:
-        forcing = forcing + a0 * np.exp(-1j * params.omega_bar * times)
     kernel = KernelCache(params, density, grid, tgrid.dt)
-    k = kernel.values(tgrid.n_steps)
+    k = np.array([kernel.single(m) for m in range(tgrid.n_steps)])
+    forcing = _forcing(params, protocol, tgrid, a0)
     return ComplexSeries(grid=tgrid, values=_march_full(k, forcing, tgrid.dt))
+
+
+def _trapezoid_fold(g: np.ndarray, a: np.ndarray, dt: float) -> np.ndarray:
+    """Trapezoid rule for int_0^{t_n} g(t_n - tau) a(tau) dtau on every n.
+
+    One FFT convolution over the samples from the first non-zero one on,
+    so the fold stays exactly 0 before it.
+    """
+    n = len(a)
+    out = np.zeros(n, dtype=complex)
+    nonzero = np.flatnonzero(a)
+    if nonzero.size == 0:
+        return out
+    s = nonzero[0]
+    out[s:] = dt * _conv(g, a[s:], n - s)
+    out -= 0.5 * dt * (g * a[0] + g[0] * a)
+    out[0] = 0.0
+    return out
 
 
 def collective_spin(params: SystemParams, density: SpinDensity,
@@ -324,24 +327,14 @@ def collective_spin(params: SystemParams, density: SpinDensity,
     J(t) = -(Omega/2) int d omega rho(omega)
            int_0^t e^{-i (omega - omega_p)(t - tau)} A(tau) dtau,
 
-    accumulated with one phase-recurrence accumulator per frequency node,
-    so the cost is O(n_steps * n_freq) rather than quadratic in time.
+    one trapezoid convolution of A with g(m) = sum_i m_i e^{-i nu_i m dt},
+    whose node sum is a chirp-z sum.
     """
     if grid is None:
         grid = grid_for_density(density, t_max=a_series.grid.t_end)
     dt = a_series.grid.dt
-    nu = grid.omegas - params.omega_p
-    m = _mass_weights(density, grid)
-    a = a_series.values
-    n = len(a)
-    step = np.exp(-1j * nu * dt)
-    phi = np.zeros(len(nu), dtype=complex)
-    out = np.empty(n, dtype=complex)
-    out[0] = 0.0
-    half = 0.5 * dt
-    for j in range(1, n):
-        phi = step * phi + half * (step * a[j - 1] + a[j])
-        out[j] = m @ phi
+    g = _node_sum(_mass_weights(density, grid), grid, params.omega_p, dt, len(a_series))
+    out = _trapezoid_fold(g, a_series.values, dt)
     return ComplexSeries(grid=a_series.grid, values=-(params.Omega / 2.0) * out)
 
 
@@ -349,17 +342,10 @@ def spin_mode_amplitude(params: SystemParams, omega_k: float, g_k: float,
                         a_series: ComplexSeries) -> ComplexSeries:
     """Single spin-mode response B_k(t) = -g_k int_0^t e^{-i(omega_k - omega_p - i gamma)(t-tau)} A(tau) dtau."""
     dt = a_series.grid.dt
-    a = a_series.values
-    n = len(a)
-    decay = np.exp((-1j * (omega_k - params.omega_p) - params.gamma) * dt)
-    out = np.empty(n, dtype=complex)
-    out[0] = 0.0
-    phi = 0j
-    half = 0.5 * dt
-    for j in range(1, n):
-        phi = decay * phi + half * (decay * a[j - 1] + a[j])
-        out[j] = phi
-    return ComplexSeries(grid=a_series.grid, values=-g_k * out)
+    decay = np.exp((-1j * (omega_k - params.omega_p) - params.gamma) * dt
+                   * np.arange(len(a_series)))
+    return ComplexSeries(grid=a_series.grid,
+                         values=-g_k * _trapezoid_fold(decay, a_series.values, dt))
 
 
 def steady_state(params: SystemParams, density: SpinDensity,
@@ -418,30 +404,21 @@ def decay_from_steady_state(params: SystemParams, density: SpinDensity,
     if grid is None:
         grid = grid_for_density(density, t_max=tgrid.t_end)
 
+    # sin(x t)/x = -Im e^{-i x t}/x as a chirp-z sum; the centre node
+    # x = 0 contributes its limit t exactly.
     x = grid.omegas - params.omega_s
     mass = _mass_weights(density, grid)
-    rho_s = density.pdf(density.omega_s)
+    centre = x == 0.0
+    coef = np.where(centre, 0.0, mass / np.where(centre, 1.0, x))
     n = tgrid.n_steps
-    source = np.empty(n)
-    # sin(x t)/x via sinc keeps the central node exact (limit t).
-    block = 2048
-    for i0 in range(0, n, block):
-        tb = times[i0:i0 + block, None]
-        source[i0:i0 + len(tb)] = (tb * np.sinc(x[None, :] * tb / math.pi)) @ mass
+    source = (-_node_sum(coef, grid, params.omega_s, tgrid.dt, n).imag
+              + times * mass[centre].sum())
+    rho_s = density.pdf(density.omega_s)
     source = (a_st * params.Omega**2) * (source - math.pi * rho_s)
 
     # Forcing: steady state relaxing at kappa plus the re-emission folded
-    # with e^{-kappa (t-s)} (trapezoid recurrence, matching the marcher).
-    decay_step = math.exp(-kappa * tgrid.dt)
-    fold = np.empty(n, dtype=complex)
-    fold[0] = 0.0
-    q = 0j
-    half = 0.5 * tgrid.dt
-    for j in range(1, n):
-        q = decay_step * q + half * (decay_step * source[j - 1] + source[j])
-        fold[j] = q
-    forcing = a_st * np.exp(-kappa * times) + fold
-
-    kernel = KernelCache(params, density, grid, tgrid.dt)
-    k = kernel.values(n)
-    return ComplexSeries(grid=tgrid, values=_march_full(k, forcing, tgrid.dt))
+    # with e^{-kappa (t-s)} by the trapezoid rule, matching the march.
+    forcing = (a_st * np.exp(-kappa * times)
+               + _trapezoid_fold(np.exp(-kappa * times), source, tgrid.dt))
+    k = KernelCache(params, density, grid, tgrid.dt).values(n)
+    return ComplexSeries(grid=tgrid, values=_march(k, forcing, tgrid.dt))

@@ -142,7 +142,7 @@ def test_criterion_03_solver_equivalence():
                       lorentz.cavity_off(p, t))
     err_closed = (np.abs(numeric.values - closed).max()
                   / np.abs(closed).max())
-    # (b) recurrence marcher against the direct O(N^2) discretization on
+    # (b) Toeplitz solver against the direct O(N^2) discretization on
     # a 4000-step window.
     params_q = resonant(8.56)
     density_q = qgauss_density()
@@ -153,7 +153,7 @@ def test_criterion_03_solver_equivalence():
     err_direct = (np.abs(fast.values - direct.values).max()
                   / np.abs(direct.values).max())
     print(f"criterion 3: closed-form L-inf {err_closed:.2e} (limit 1e-3), "
-          f"recurrence-vs-direct L-inf {err_direct:.2e} (limit 1e-6)")
+          f"solve-vs-direct L-inf {err_direct:.2e} (limit 1e-6)")
     assert err_closed <= 1e-3
     assert err_direct <= 1e-6
 

@@ -119,6 +119,18 @@ def test_numerical_failure_exits_2(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_solver_residual_failure_exits_2(small_config, capsys, monkeypatch):
+    # A Toeplitz solve whose residual check fails is a numerical failure.
+    from cavityspin import volterra
+
+    exact = volterra._series_inverse
+    monkeypatch.setattr(volterra, "_series_inverse",
+                        lambda b, n: exact(b, n) * (1.0 + 1e-6))
+    path, _ = small_config
+    assert main(["long-pulse", str(path)]) == 2
+    assert "residual" in capsys.readouterr().err
+
+
 def test_validate_passes(capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out
@@ -135,3 +147,15 @@ def test_module_entry_point(small_config):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "sub.csv").exists()
+
+
+def test_import_leaves_scipy_signal_out():
+    # scipy.signal takes ~0.4 s to import; the CLI's start-up cost must
+    # not grow by it (the solver needs FFTs only, from numpy.fft).
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cavityspin.cli; print('scipy.signal' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

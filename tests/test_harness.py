@@ -401,6 +401,25 @@ class TestGammaSweep:
         with pytest.raises(ConfigError):
             run_scenario(cfg)
 
+    @pytest.mark.parametrize("group,key,value", [
+        ("system", "spin_ghz", CAVITY_GHZ + 0.01),
+        ("system", "probe_ghz", CAVITY_GHZ + 0.01),
+        ("density", "center_ghz", CAVITY_GHZ - 0.01),
+        ("system", "spin_loss_mhz", 5.0),
+    ])
+    def test_rejects_detuned_or_lossy(self, group, key, value, monkeypatch):
+        # The resolvent rates assume the resonant, lossless configuration:
+        # a config error (exit 1) before any solve, not a numerical one.
+        monkeypatch.setattr(volterra, "solve", None)
+        mapping = base_mapping(
+            scenario="gamma-sweep",
+            grid={"dt_ns": 0.2},
+            sweep=[{"parameter": "coupling_mhz", "values": [8.56]}],
+        )
+        mapping[group][key] = value
+        with pytest.raises(ConfigError, match=f"{group}.{key}"):
+            run_scenario(ScenarioConfig.from_mapping(mapping))
+
     def test_manifest_serializes_diagnostics(self, tmp_path):
         # The per-point diagnostics carry numpy scalars (np.bool_ is not
         # a bool subclass); the manifest writer must coerce them.
@@ -441,13 +460,15 @@ class TestTrainCompare:
         assert np.all(table.column("abs_A2_twin") >= 0)
 
     def test_rejects_lorentz_main_density(self):
-        mapping = base_mapping(
-            scenario="train-compare",
-            drive={"kind": "train", "tau_ns": 19.5, "n_pulses": 3},
-        )
-        mapping["density"] = {"kind": "lorentz", "fwhm_mhz": 9.2}
-        with pytest.raises(ConfigError):
-            run_scenario(ScenarioConfig.from_mapping(mapping))
+        # A delta line has no steady state to fit the twin to either.
+        for density in ({"kind": "lorentz", "fwhm_mhz": 9.2}, {"kind": "delta"}):
+            mapping = base_mapping(
+                scenario="train-compare",
+                drive={"kind": "train", "tau_ns": 19.5, "n_pulses": 3},
+            )
+            mapping["density"] = density
+            with pytest.raises(ConfigError, match="density.kind"):
+                run_scenario(ScenarioConfig.from_mapping(mapping))
 
     def test_rejects_sweep(self):
         cfg = ScenarioConfig.from_mapping(base_mapping(

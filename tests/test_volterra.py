@@ -68,6 +68,24 @@ class TestKernel:
         full = cache.values(900)
         np.testing.assert_array_equal(short, full[:300])
 
+    @pytest.mark.parametrize("lorentz,n_lags,n_freq", [
+        (False, 24_001, 8_015),   # long-pulse table
+        (True, 27_301, 40_003),   # train-compare twin table
+    ])
+    def test_chirp_z_table_matches_direct_sums(self, ensemble, lorentz, n_lags, n_freq):
+        if lorentz:
+            p = resonant_system(9.786)
+            density = LorentzianDensity(omega_s=OMEGA_C, delta=mhz_to_angular(4.598))
+        else:
+            p, density = detuned_system(8.56, probe_offset=mhz_to_angular(1.3)), ensemble
+        grid = grid_for_density(density, t_max=(n_lags - 1) * DT)
+        assert grid.n == n_freq
+        cache = KernelCache(p, density, grid, DT)
+        vals = cache.values(n_lags)
+        scale = np.abs(vals).max()
+        for m in np.linspace(1, n_lags - 1, 41).astype(int):
+            assert abs(vals[m] - cache.single(m)) <= 1e-12 * scale
+
     def test_kernel_K_agrees_with_cache(self, ensemble):
         p = resonant_system(8.56)
         grid = grid_for_density(ensemble, t_max=50.0)
@@ -164,6 +182,16 @@ class TestSolveBasics:
         scaled = solve(p, ensemble, prot_scaled, tgrid, a0=c * 0.2)
         assert rel_linf(scaled.values, c * base.values) < 1e-12
 
+    def test_corrupted_inverse_trips_residual_check(self, ensemble, monkeypatch):
+        from cavityspin import volterra
+
+        exact = volterra._series_inverse
+        monkeypatch.setattr(volterra, "_series_inverse",
+                            lambda b, n: exact(b, n) * (1.0 + 1e-6))
+        with pytest.raises(ValueError, match="residual"):
+            solve(resonant_system(8.56), ensemble, rect_pulse(KAPPA, 25.0),
+                  TimeGrid(0.0, DT, 1201))
+
     def test_duration_not_divisible_raises(self, ensemble):
         p = resonant_system(8.56)
         with pytest.raises(ValueError):
@@ -220,8 +248,8 @@ class TestDiracRabiOracle:
 
 
 class TestSegmentedVsDirect:
-    """The segmented recurrence must reproduce the full-history trapezoid
-    rule; they are the same discretization reorganized."""
+    """The Toeplitz solve must reproduce the step-by-step full-history
+    trapezoid rule; they are the same discretization solved two ways."""
 
     def run_both(self, p, density, prot, n_steps=4001):
         tgrid = TimeGrid(0.0, DT, n_steps)
@@ -314,6 +342,33 @@ class TestDecayFromSteadyState:
         expected = -np.exp(-p.kappa * tgrid.times())
         assert np.abs(a.values - expected).max() < 1e-12
 
+    def test_matches_dense_reference(self, ensemble):
+        # Dense O(n^2) reference: the sinc source node by node, the
+        # kappa fold by its scalar recurrence, the kernel from per-lag
+        # sums and the step-by-step march.
+        from cavityspin.volterra import _march_full
+
+        p = resonant_system(8.56)
+        tgrid = TimeGrid(0.0, DT, 2001)
+        a = decay_from_steady_state(p, ensemble, tgrid, eta=KAPPA)
+
+        grid = grid_for_density(ensemble, t_max=tgrid.t_end)
+        a_st, _ = steady_state(p, ensemble, eta=KAPPA)
+        t = tgrid.times()
+        x = grid.omegas - OMEGA_C
+        mass = ensemble.pdf(grid.omegas) * grid.weights
+        source = np.concatenate([(tb[:, None] * np.sinc(x * tb[:, None] / math.pi)) @ mass
+                                 for tb in np.array_split(t, 16)])
+        source = a_st * p.Omega**2 * (source - math.pi * ensemble.pdf(OMEGA_C))
+        step = math.exp(-p.kappa * DT)
+        fold = np.zeros(len(t), dtype=complex)
+        for j in range(1, len(t)):
+            fold[j] = step * fold[j - 1] + 0.5 * DT * (step * source[j - 1] + source[j])
+        cache = KernelCache(p, ensemble, grid, DT)
+        k = np.array([cache.single(m) for m in range(len(t))])
+        ref = _march_full(k, a_st * np.exp(-p.kappa * t) + fold, DT)
+        assert rel_linf(a.values, ref) <= 1e-12
+
     def test_lorentzian_matches_closed_form(self):
         delta = mhz_to_angular(4.6)
         lor = LorentzianDensity(omega_s=OMEGA_C, delta=delta)
@@ -362,6 +417,25 @@ class TestCollectiveSpin:
             inner = phases @ (w * a.values[: idx + 1])
             expected[idx] = -(p.Omega / 2.0) * (mass @ inner)
         assert rel_linf(j.values[1:], expected[1:]) < 1e-10
+
+    def test_matches_per_step_recurrence(self, ensemble):
+        # The per-step recurrence the convolution replaced: one phase
+        # accumulator per frequency node, advanced step by step.
+        p = detuned_system(8.56, probe_offset=mhz_to_angular(2.0))
+        tgrid = TimeGrid(0.0, DT, 4001)
+        a = solve(p, ensemble, phase_switched_train(KAPPA, 25.0, 6), tgrid)
+        grid = grid_for_density(ensemble, t_max=tgrid.t_end)
+        j = collective_spin(p, ensemble, a, grid=grid)
+
+        mass = ensemble.pdf(grid.omegas) * grid.weights
+        step = np.exp(-1j * (grid.omegas - p.omega_p) * DT)
+        phi = np.zeros(grid.n, dtype=complex)
+        ref = np.zeros(len(a), dtype=complex)
+        for n in range(1, len(a)):
+            phi = step * phi + 0.5 * DT * (step * a.values[n - 1] + a.values[n])
+            ref[n] = mass @ phi
+        ref *= -p.Omega / 2.0
+        assert rel_linf(j.values, ref) <= 1e-12
 
 
 class TestSpinModeAmplitude:
