@@ -122,9 +122,13 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         table = harness.run_scenario(config)
         elapsed = time.perf_counter() - t0
-        csv_path, manifest_path = harness.write_outputs(
-            table, config, config.output, timings={"run_s": elapsed}
-        )
+        try:
+            csv_path, manifest_path = harness.write_outputs(
+                table, config, config.output, timings={"run_s": elapsed}
+            )
+        except OSError as exc:
+            raise harness.ConfigError(
+                f"cannot write output {config.output!r}: {exc}") from exc
     except harness.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -34,7 +34,7 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -44,8 +44,11 @@ from .spectral import (
     DiracDeltaDensity,
     FrequencyGrid,
     SpinDensity,
+    _node_sum,
     grid_for_density,
     lamb_shift,
+    lamb_shift_nodes,
+    uniform_grid,
 )
 
 log = logging.getLogger(__name__)
@@ -291,32 +294,22 @@ def residue_weight(
 
 
 def _cut_kernel(
-    params: SystemParams,
-    density: SpinDensity,
-    grid: FrequencyGrid,
-    omegas: np.ndarray,
+    params: SystemParams, density: SpinDensity, omegas: np.ndarray, shift: np.ndarray
 ) -> np.ndarray:
     """Complex cut integrand U(omega) = rho / ((M + i*kappa)^2 + G^2).
 
-    M(omega) = omega - omega_c - Omega^2 * lamb_shift(omega) and
+    M(omega) = omega - omega_c - Omega^2 * shift(omega) and
     G(omega) = pi * Omega^2 * rho(omega) are the dressed detuning and the
-    ensemble absorption at the cut. The i*kappa sits inside the squared
-    bracket: of the two readings of the printed kernel only this one
-    closes the t = 0 sum rule and reproduces the time-domain solver (the
-    all-real |..|^2 variant misses both by double-digit percentages; see
-    the discrimination test).
+    ensemble absorption at the cut; ``shift`` is the Lamb shift at
+    ``omegas``. The i*kappa sits inside the squared bracket: of the two
+    readings of the printed kernel only this one closes the t = 0 sum
+    rule and reproduces the time-domain solver (the all-real |..|^2
+    variant misses both by double-digit percentages; see the
+    discrimination test).
     """
     rho = density.pdf(omegas)
-    # The shift's boundary log term diverges exactly at the truncation
-    # edge; the spectral weight there is O(tail mass) so pin delta to 0
-    # at the two end nodes instead of propagating an inf.
-    lo, hi = grid.omegas[0], grid.omegas[-1]
-    delta = np.zeros(omegas.shape)
-    safe = (omegas != lo) & (omegas != hi)
-    if safe.any():
-        delta[safe] = np.asarray(lamb_shift(density, grid, omegas[safe]))
     om2 = params.Omega**2
-    m = omegas - params.omega_c - om2 * delta
+    m = omegas - params.omega_c - om2 * shift
     g = math.pi * om2 * rho
     return rho / ((m + 1j * params.kappa) ** 2 + g**2)
 
@@ -328,13 +321,21 @@ def kernel_U(params: SystemParams, density: SpinDensity, omega, grid=None):
     the dressed resonances: a single kappa-wide peak at omega_c for
     Omega -> 0, splitting into two polariton peaks near omega_c +- Omega
     at strong coupling, with peak positions satisfying
-    omega_r - omega_c = Omega^2 * lamb_shift(omega_r).
+    omega_r - omega_c = Omega^2 * lamb_shift(omega_r). Any frequency is
+    allowed, so the shift is the per-point `spectral.lamb_shift`, where
+    invert() uses `spectral.lamb_shift_nodes`; both pin the grid's two
+    end nodes to 0.
     """
     _require_resonant(params, density)
     if grid is None:
         grid = grid_for_density(density)
     arr = np.atleast_1d(np.asarray(omega, dtype=float))
-    out = np.abs(_cut_kernel(params, density, grid, arr))
+    # The shift's boundary log term diverges exactly at the truncation
+    # edge; the spectral weight there is O(tail mass).
+    inner = (arr != grid.omegas[0]) & (arr != grid.omegas[-1])
+    shift = np.zeros(arr.shape)
+    shift[inner] = lamb_shift(density, grid, arr[inner])
+    out = np.abs(_cut_kernel(params, density, arr, shift))
     if np.isscalar(omega) or np.asarray(omega).ndim == 0:
         return float(out[0])
     return out
@@ -349,18 +350,9 @@ def _cut_grid(
     # TODO: graded cut-grid refinement near the pole-birth coupling,
     # where the integrand width |kappa - G| drops below d_omega.
     base = grid_for_density(density, t_max)
-    half_needed = max(
-        density.support[1] - density.omega_s, 2.0 * params.Omega
-    )
-    if density.support[1] - density.omega_s >= half_needed:
+    if density.support[1] - density.omega_s >= 2.0 * params.Omega:
         return base
-    d_omega = base.d_omega
-    n_half = int(math.ceil(half_needed / d_omega))
-    omegas = density.omega_s + d_omega * np.arange(-n_half, n_half + 1)
-    weights = np.full(len(omegas), d_omega)
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    return FrequencyGrid(omegas=omegas, weights=weights, d_omega=d_omega)
+    return uniform_grid(density.omega_s, base.d_omega, 2.0 * params.Omega)
 
 
 def invert(
@@ -379,6 +371,8 @@ def invert(
     +Omega^2 * Integral e^{-i (omega - omega_p) t} U(omega) d omega.
     The t = 0 sum rule (poles + cut = 1) pins the cut orientation and is
     asserted in tests; it holds to eight digits in every coupling regime.
+    The cut sum is one chirp-z sum (`spectral._node_sum`) and the Lamb
+    shift in U one discrete Hilbert transform (`spectral.lamb_shift_nodes`).
 
     Caveat: just below the coupling where the detuned resonance pair is
     born, the cut integrand develops a feature of width |kappa - G(omega)|
@@ -399,19 +393,9 @@ def invert(
     if poles is None:
         poles = find_poles(params, density)
 
-    u = _cut_kernel(params, density, grid, grid.omegas)
-    wu = params.Omega**2 * grid.weights * u
-    nu = grid.omegas - params.omega_p
-
-    vals = np.empty(len(times), dtype=complex)
-    # Chunk the time-frequency outer product to cap the phase matrix at
-    # ~64 MB regardless of trace length.
-    block = max(1, int(2**22 / max(len(nu), 1)))
-    for start in range(0, len(times), block):
-        tb = times[start : start + block]
-        phase = np.exp(-1j * np.outer(tb, nu))
-        vals[start : start + block] = phase @ wu
-
+    u = _cut_kernel(params, density, grid.omegas, lamb_shift_nodes(density, grid))
+    vals = _node_sum(params.Omega**2 * grid.weights * u, grid, params.omega_p,
+                     tgrid.dt, len(times))
     for p in poles:
         vals += p.residue * np.exp((p.sigma + 1j * (p.omega + params.omega_p)) * times)
     return ComplexSeries(grid=tgrid, values=vals)
@@ -532,19 +516,10 @@ def gamma_lorentz_formula(
 def gamma_no_broadening(Omega: float, kappa: float) -> tuple[DecayRateEstimate, ...]:
     """Rates for a broadening-free (single-frequency) ensemble.
 
-    The Delta -> 0 limit of the Lorentzian formula: branches
+    The Delta = 0 case of `gamma_lorentz_formula`: branches
     kappa -+ sqrt(kappa^2 - 4*Omega^2) below Omega = kappa/2, a single
     rate kappa above it with vacuum Rabi frequency sqrt(4*Omega^2 -
     kappa^2).
     """
-    disc = kappa**2 - 4.0 * Omega**2
-    if disc >= 0:
-        root = math.sqrt(disc)
-        return (
-            DecayRateEstimate(kappa - root, NO_BROADENING, "overdamped, slow"),
-            DecayRateEstimate(kappa + root, NO_BROADENING, "overdamped, fast"),
-        )
-    freq = math.sqrt(-disc)
-    return (
-        DecayRateEstimate(kappa, NO_BROADENING, f"underdamped, Rabi {freq:g} rad/ns"),
-    )
+    return tuple(replace(e, method=NO_BROADENING)
+                 for e in gamma_lorentz_formula(Omega, 0.0, kappa))

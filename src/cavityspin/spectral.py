@@ -6,6 +6,8 @@ dynamics, used for cross checks), and a Dirac delta (no broadening).
 Densities are normalized to unit area analytically; quadrature happens on
 truncated supports, with the truncated tail mass tracked analytically so
 normalization checks stay honest.
+Every sum over the uniform grid has its one home here: the chirp-z node
+sum, FFT convolution and the discrete Hilbert transform (Lamb shift).
 """
 
 from __future__ import annotations
@@ -15,9 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
+from scipy.fft import next_fast_len
 from scipy.special import gamma as gamma_fn
 
 TWO_PI = 2.0 * math.pi
+# Support half-width of a Lorentzian line, in units of its delta.
+LORENTZ_HALF_WIDTH = 200.0
 
 
 def fwhm_relation(q: float, delta: float) -> float:
@@ -120,30 +125,16 @@ class LorentzianDensity:
 
     The arctan tail decays so slowly that a 1e-6 tail-mass support would
     need a half-width of ~6e5*delta, so the support is capped at
-    ``half_width_multiple * delta`` and downstream normalization checks
-    add the analytic tail mass back. Pass ``tail_target`` to request a
-    strict tail-mass support instead; it raises if the needed width
-    exceeds the cap.
+    LORENTZ_HALF_WIDTH * delta and downstream normalization checks add
+    the analytic tail mass back.
     """
 
     omega_s: float
     delta: float
-    half_width_multiple: float = 200.0
-    tail_target: float | None = None
 
     def __post_init__(self):
         if not self.delta > 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.tail_target is not None:
-            needed = self.delta / math.tan(math.pi * self.tail_target / 2.0)
-            if needed > self.half_width_multiple * self.delta:
-                raise ValueError(
-                    "Lorentzian support for tail mass %g needs half-width "
-                    "%g but the cap is %g" % (
-                        self.tail_target, needed,
-                        self.half_width_multiple * self.delta,
-                    )
-                )
 
     @property
     def norm_constant(self) -> float:
@@ -155,9 +146,7 @@ class LorentzianDensity:
 
     @property
     def half_width(self) -> float:
-        if self.tail_target is not None:
-            return self.delta / math.tan(math.pi * self.tail_target / 2.0)
-        return self.half_width_multiple * self.delta
+        return LORENTZ_HALF_WIDTH * self.delta
 
     @property
     def support(self) -> tuple[float, float]:
@@ -264,9 +253,13 @@ def grid_for_density(
     d_omega = density.fwhm / points_per_fwhm
     if t_max is not None and t_max > 0:
         d_omega = min(d_omega, math.pi / (4.0 * t_max))
-    half_width = density.support[1] - density.omega_s
+    return uniform_grid(density.omega_s, d_omega, density.support[1] - density.omega_s)
+
+
+def uniform_grid(center: float, d_omega: float, half_width: float) -> FrequencyGrid:
+    """Trapezoid grid center + k d_omega, |k| <= ceil(half_width / d_omega)."""
     n_half = int(math.ceil(half_width / d_omega))
-    omegas = density.omega_s + d_omega * np.arange(-n_half, n_half + 1)
+    omegas = center + d_omega * np.arange(-n_half, n_half + 1)
     weights = np.full(len(omegas), d_omega)
     weights[0] *= 0.5
     weights[-1] *= 0.5
@@ -331,6 +324,63 @@ def lamb_shift(density: SpinDensity, grid: FrequencyGrid, omega) -> np.ndarray |
     if np.isscalar(omega) or np.asarray(omega).ndim == 0:
         return float(out[0])
     return out
+
+
+def lamb_shift_nodes(density: SpinDensity, grid: FrequencyGrid) -> np.ndarray:
+    """`lamb_shift` of a broadened density at every node of its grid.
+
+    The same singular-cell subtraction, with the two sums over the other
+    nodes, of rho_i w_i / (omega_j - omega_i) and of w_i / (omega_j -
+    omega_i), taken as discrete Hilbert transforms: FFT convolutions
+    with 1/(k d_omega). The boundary log term diverges at the two end
+    nodes, where the shift is pinned to 0.
+    """
+    n = grid.n
+    k = np.arange(1 - n, n)
+    hilbert = 1.0 / (np.where(k == 0, 1, k) * grid.d_omega)
+    hilbert[n - 1] = 0.0  # k = 0: the singular cell
+    rho = density.pdf(grid.omegas)
+    inner = slice(1, n - 1)
+    mass_sum = _conv(rho * grid.weights, hilbert, 2 * n - 1)[n:2 * n - 2].real
+    weight_sum = _conv(grid.weights, hilbert, 2 * n - 1)[n:2 * n - 2].real
+    x, lo, hi = grid.omegas[inner], grid.omegas[0], grid.omegas[-1]
+    out = np.zeros(n)
+    out[inner] = (mass_sum - rho[inner] * weight_sum
+                  - grid.weights[inner] * density.pdf_derivative(x)
+                  + rho[inner] * np.log((x - lo) / (hi - x)))
+    return out
+
+
+def _conv(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """First n terms of the linear convolution a * b, by FFT."""
+    a, b = a[:n], b[:n]
+    size = next_fast_len(len(a) + len(b) - 1)
+    spectrum = np.fft.fft(a, size)
+    spectrum *= np.fft.fft(b, size)
+    return np.fft.ifft(spectrum)[:n].copy()  # frees the padded buffer
+
+
+def _node_sum(coef: np.ndarray, grid: FrequencyGrid, offset: float, dt: float,
+              n: int, start: int = 0) -> np.ndarray:
+    """sum_i coef_i e^{-i (omega_i - offset) m dt} for m = start .. start+n-1.
+
+    Chirp-z form: with omega_i = omega_0 + k d_omega (k counted from the
+    centre node) and k m = (k^2 + m^2 - (m - k)^2) / 2, the node sum is
+    one FFT convolution with a chirp. The squares are exact integers
+    before they meet theta = d_omega dt.
+    """
+    j0 = grid.n // 2
+    k = np.arange(grid.n) - j0
+    m = np.arange(start, start + n)
+    d = np.arange(start - k[-1], start + n - k[0])
+    # A one-node grid's d_omega is a placeholder; its chirp would only
+    # add rounding.
+    theta = grid.d_omega * dt if grid.n > 1 else 0.0
+    size = next_fast_len(n + grid.n - 1)
+    spectrum = np.fft.fft(coef * np.exp(-0.5j * theta * (k * k)), size)
+    spectrum *= np.fft.fft(np.exp(0.5j * theta * (d * d)), size)
+    phase = (grid.omegas[j0] - offset) * dt * m + 0.5 * theta * (m * m)
+    return np.exp(-1j * phase) * np.fft.ifft(spectrum)[grid.n - 1:grid.n - 1 + n]
 
 
 def sokhotski_split(density: SpinDensity, grid: FrequencyGrid, f) -> tuple[float, complex]:

@@ -12,14 +12,15 @@ product integration of the memory term.
 
 Every sum over the uniform frequency grid (the kernel table, the
 collective-spin propagator, the ring-down source) is a chirp-z sum,
-evaluated as one FFT convolution (Bluestein; Rabiner, Schafer & Rader
-1969). Because K(0) = 0, the trapezoid rule over the whole time grid is
-a unit lower-triangular Toeplitz system: `solve` inverts its symbol as a
-power series by Newton doubling and applies the inverse with one more
-FFT convolution (Hairer, Lubich & Schlichte 1985), then checks the
-residual of the discrete system it solved. `solve_direct` marches the
-same rule step by step, with a kernel from per-lag direct sums, as the
-O(n^2) reference on short grids.
+evaluated as one FFT convolution by `spectral._node_sum` (Bluestein;
+Rabiner, Schafer & Rader 1969); the time convolutions use
+`spectral._conv`. Because K(0) = 0, the trapezoid rule over the whole
+time grid is a unit lower-triangular Toeplitz system: `solve` inverts
+its symbol as a power series by Newton doubling and applies the inverse
+with one more FFT convolution (Hairer, Lubich & Schlichte 1985), then
+checks the residual of the discrete system it solved. `solve_direct`
+marches the same rule step by step, with a kernel from per-lag direct
+sums, as the O(n^2) reference on short grids.
 """
 
 from __future__ import annotations
@@ -27,13 +28,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .core import ComplexSeries, DriveProtocol, SystemParams, TimeGrid
 from .spectral import (
     DiracDeltaDensity,
     FrequencyGrid,
     SpinDensity,
+    _conv,
+    _node_sum,
     grid_for_density,
 )
 
@@ -48,38 +50,6 @@ def _mass_weights(density: SpinDensity, grid: FrequencyGrid) -> np.ndarray:
     if isinstance(density, DiracDeltaDensity):
         return np.array([1.0])
     return density.pdf(grid.omegas) * grid.weights
-
-
-def _conv(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """First n terms of the linear convolution a * b, by FFT."""
-    a, b = a[:n], b[:n]
-    size = next_fast_len(len(a) + len(b) - 1)
-    spectrum = np.fft.fft(a, size)
-    spectrum *= np.fft.fft(b, size)
-    return np.fft.ifft(spectrum)[:n].copy()  # frees the padded buffer
-
-
-def _node_sum(coef: np.ndarray, grid: FrequencyGrid, offset: float, dt: float,
-              n: int, start: int = 0) -> np.ndarray:
-    """sum_i coef_i e^{-i (omega_i - offset) m dt} for m = start .. start+n-1.
-
-    Chirp-z form: with omega_i = omega_0 + k d_omega (k counted from the
-    centre node) and k m = (k^2 + m^2 - (m - k)^2) / 2, the node sum is
-    one FFT convolution with a chirp. The squares are exact integers
-    before they meet theta = d_omega dt.
-    """
-    j0 = grid.n // 2
-    k = np.arange(grid.n) - j0
-    m = np.arange(start, start + n)
-    d = np.arange(start - k[-1], start + n - k[0])
-    # A one-node grid's d_omega is a placeholder; its chirp would only
-    # add rounding.
-    theta = grid.d_omega * dt if grid.n > 1 else 0.0
-    size = next_fast_len(n + grid.n - 1)
-    spectrum = np.fft.fft(coef * np.exp(-0.5j * theta * (k * k)), size)
-    spectrum *= np.fft.fft(np.exp(0.5j * theta * (d * d)), size)
-    phase = (grid.omegas[j0] - offset) * dt * m + 0.5 * theta * (m * m)
-    return np.exp(-1j * phase) * np.fft.ifft(spectrum)[grid.n - 1:grid.n - 1 + n]
 
 
 class KernelCache:

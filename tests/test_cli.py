@@ -89,6 +89,14 @@ def test_missing_output_exits_1(small_config, capsys):
     assert "output" in capsys.readouterr().err
 
 
+def test_unwritable_output_exits_1(small_config, capsys):
+    # The output's parent directory is a regular file.
+    path, tmp_path = small_config
+    (tmp_path / "blocker").write_text("")
+    assert main(["long-pulse", str(path), f"output={tmp_path / 'blocker' / 'run'}"]) == 1
+    assert "config error: cannot write output" in capsys.readouterr().err
+
+
 def test_malformed_override_exits_1(small_config, capsys):
     path, _ = small_config
     assert main(["long-pulse", str(path), "grid.dt_ns"]) == 1

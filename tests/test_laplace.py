@@ -21,7 +21,7 @@ from cavityspin import (
     lamb_shift,
     mhz_to_angular,
 )
-from cavityspin import laplace, volterra
+from cavityspin import laplace, spectral, volterra
 
 from conftest import KAPPA, OMEGA_C, resonant_system
 
@@ -287,6 +287,17 @@ class TestInvert:
         oracle = lorentz_free_decay(tgrid.times(), p.Omega, delta, KAPPA)
         scale = np.max(np.abs(oracle))
         assert np.max(np.abs(ref.values - oracle)) < 1e-3 * scale
+
+    def test_cut_sum_matches_dense_phase_matrix(self, ensemble):
+        # The chirp-z cut sum against the time x frequency phase matrix.
+        p = resonant_system(25.0)
+        tgrid = TimeGrid(t_start=0.0, dt=DT, n_steps=401)
+        grid = laplace._cut_grid(p, ensemble, tgrid.t_end)
+        shift = spectral.lamb_shift_nodes(ensemble, grid)
+        wu = p.Omega**2 * grid.weights * laplace._cut_kernel(p, ensemble, grid.omegas, shift)
+        dense = np.exp(-1j * np.outer(tgrid.times(), grid.omegas - p.omega_p)) @ wu
+        got = laplace.invert(p, ensemble, tgrid, poles=[]).values
+        assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
 
     def test_free_decay_must_start_at_zero(self, ensemble):
         p = resonant_system(8.56)

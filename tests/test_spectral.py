@@ -18,8 +18,9 @@ from cavityspin import (
     normalize,
     sokhotski_split,
 )
-from cavityspin.spectral import qgauss_norm
-from conftest import FWHM, OMEGA_C, Q_SHAPE
+from cavityspin import laplace
+from cavityspin.spectral import lamb_shift_nodes, qgauss_norm
+from conftest import FWHM, OMEGA_C, Q_SHAPE, resonant_system
 
 
 @pytest.fixture(scope="module")
@@ -114,10 +115,6 @@ class TestNormalization:
         assert enclosed == pytest.approx(0.99682, abs=2e-4)
         assert normalize(lor) == pytest.approx(lor.delta / math.pi, rel=1e-14)
 
-    def test_lorentzian_strict_tail_target_exceeds_cap(self):
-        with pytest.raises(ValueError):
-            LorentzianDensity(omega_s=0.0, delta=0.05, tail_target=1e-6)
-
     def test_dirac_delta(self):
         assert normalize(DiracDeltaDensity(omega_s=1.0)) == 1.0
 
@@ -191,6 +188,21 @@ class TestLambShift:
         d = DiracDeltaDensity(omega_s=3.0)
         grid = grid_for_density(d)
         assert lamb_shift(d, grid, 4.0) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("lorentz, n_freq", [(False, 8015), (True, 40003)])
+    def test_node_transform_matches_per_point_sum(self, qg, lorentz, n_freq):
+        # The discrete Hilbert transform against the per-node loop, on the
+        # q-Gaussian grid and on the Lorentzian cut grid at 25 MHz.
+        if lorentz:
+            density = LorentzianDensity(omega_s=OMEGA_C, delta=mhz_to_angular(4.598))
+            grid = laplace._cut_grid(resonant_system(25.0), density, 200.0)
+        else:
+            density, grid = qg, grid_for_density(qg, t_max=300.0)
+        assert grid.n == n_freq
+        fast = lamb_shift_nodes(density, grid)
+        slow = lamb_shift(density, grid, grid.omegas[1:-1])
+        assert fast[0] == fast[-1] == 0.0
+        assert np.abs(fast[1:-1] - slow).max() <= 1e-12 * np.abs(slow).max()
 
 
 class TestSokhotskiSplit:
