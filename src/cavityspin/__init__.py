@@ -26,7 +26,6 @@ from .spectral import (
     grid_for_density,
     lamb_shift,
     normalize,
-    sokhotski_split,
 )
 
 __version__ = "0.1.0"
@@ -50,6 +49,5 @@ __all__ = [
     "grid_for_density",
     "lamb_shift",
     "normalize",
-    "sokhotski_split",
     "__version__",
 ]

@@ -422,8 +422,11 @@ class ResultTable:
         # which is what makes byte-level determinism checks meaningful.
         with open(path, "w", newline="\n") as fh:
             fh.write(",".join(self.columns) + "\n")
-            for row in self.rows:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            # Rows as Python floats from tolist(), a block at a time: no
+            # per-value float() call and no whole-table list at the peak.
+            for start in range(0, self.n_rows, 4096):
+                for row in self.rows[start:start + 4096].tolist():
+                    fh.write(",".join(map(repr, row)) + "\n")
 
 
 def _versions() -> dict:

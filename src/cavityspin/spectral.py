@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import integrate
@@ -77,7 +78,9 @@ class QGaussianDensity:
         if not 0 < self.tail_target < 1:
             raise ValueError(f"tail_target must be in (0,1), got {self.tail_target}")
 
-    @property
+    # Constants are cached in the instance dict, not declared as fields,
+    # so equality, hashing and dataclasses.fields see only the parameters.
+    @cached_property
     def norm_constant(self) -> float:
         return qgauss_norm(self.q, self.delta)
 
@@ -85,13 +88,18 @@ class QGaussianDensity:
     def fwhm(self) -> float:
         return fwhm_relation(self.q, self.delta)
 
-    @property
-    def half_width(self) -> float:
+    @cached_property
+    def _tail_amplitude(self) -> float:
         # Leading-order tail: rho ~ C (q-1)^(-p) delta^(2p) x^(-2p), so the
         # two-sided mass beyond W is 2 C (q-1)^(-p) delta^(2p) W^(1-2p)/(2p-1).
         p = 1.0 / (self.q - 1.0)
-        amp = 2.0 * self.norm_constant * self.delta ** (2 * p) * (self.q - 1.0) ** (-p)
-        return (amp / (self.tail_target * (2.0 * p - 1.0))) ** (1.0 / (2.0 * p - 1.0))
+        return 2.0 * self.norm_constant * self.delta ** (2 * p) * (self.q - 1.0) ** (-p)
+
+    @cached_property
+    def half_width(self) -> float:
+        p = 1.0 / (self.q - 1.0)
+        ratio = self._tail_amplitude / (self.tail_target * (2.0 * p - 1.0))
+        return ratio ** (1.0 / (2.0 * p - 1.0))
 
     @property
     def support(self) -> tuple[float, float]:
@@ -114,9 +122,7 @@ class QGaussianDensity:
     def tail_mass(self) -> float:
         """Analytic estimate of the mass outside the truncated support."""
         p = 1.0 / (self.q - 1.0)
-        w = self.half_width
-        amp = 2.0 * self.norm_constant * self.delta ** (2 * p) * (self.q - 1.0) ** (-p)
-        return amp * w ** (1.0 - 2.0 * p) / (2.0 * p - 1.0)
+        return self._tail_amplitude * self.half_width ** (1.0 - 2.0 * p) / (2.0 * p - 1.0)
 
 
 @dataclass(frozen=True)
@@ -381,27 +387,3 @@ def _node_sum(coef: np.ndarray, grid: FrequencyGrid, offset: float, dt: float,
     spectrum *= np.fft.fft(np.exp(0.5j * theta * (d * d)), size)
     phase = (grid.omegas[j0] - offset) * dt * m + 0.5 * theta * (m * m)
     return np.exp(-1j * phase) * np.fft.ifft(spectrum)[grid.n - 1:grid.n - 1 + n]
-
-
-def sokhotski_split(density: SpinDensity, grid: FrequencyGrid, f) -> tuple[float, complex]:
-    """Split integral of f(omega)/(omega - omega_s - i0) into PV + i*pi*f(omega_s).
-
-    ``f`` is a callable evaluated on the grid. Returns the principal-value
-    part (real quadrature) and the half-residue i*pi*f(omega_s).
-    """
-    if isinstance(density, DiracDeltaDensity):
-        raise ValueError("Sokhotski-Plemelj split needs a broadened density")
-    c = density.omega_s
-    fw = np.asarray(f(grid.omegas), dtype=float)
-    fc = float(f(np.asarray([c]))[0] if np.ndim(f(c)) else f(c))
-    diff = grid.omegas - c
-    near = np.abs(diff) < 1e-6 * grid.d_omega
-    safe = np.where(near, 1.0, diff)
-    integrand = (fw - fc) / safe
-    if near.any():
-        # Removable point: limit is f'(omega_s); central difference on the grid.
-        h = grid.d_omega
-        integrand[near] = (f(c + h) - f(c - h)) / (2.0 * h)
-    lo, hi = grid.omegas[0], grid.omegas[-1]
-    pv = float(integrand @ grid.weights) + fc * math.log((hi - c) / (c - lo))
-    return pv, 1j * math.pi * fc

@@ -7,8 +7,12 @@ The cavity amplitude obeys a Volterra equation of the second kind,
 in the frame rotating at the drive frequency. The memory kernel K folds
 the spin ensemble's line shape with the cavity response; F collects the
 drive and any initial amplitude. Both are evaluated in closed form on
-the quadrature grid, so the only discretization is the trapezoidal
-product integration of the memory term.
+the time grid, so the only discretization is the trapezoidal product
+integration of the memory term. The drive is piecewise constant and dt
+divides each of its segments, so `_forcing` walks the segments once as
+whole-step runs: F steps from one run start to the next by its closed
+form, and each run's samples are one vectorized expression, O(steps)
+for any number of segments.
 
 Every sum over the uniform frequency grid (the kernel table, the
 collective-spin propagator, the ring-down source) is a chirp-z sum,
@@ -37,6 +41,7 @@ from .spectral import (
     _conv,
     _node_sum,
     grid_for_density,
+    lamb_shift,
 )
 
 # Largest relative residual (normwise backward error) of the discrete
@@ -113,53 +118,42 @@ def kernel_K(params: SystemParams, density: SpinDensity, lag,
     return out
 
 
-def forcing_F(params: SystemParams, protocol: DriveProtocol, t):
-    """Drive forcing F(t) = -int_0^t eta(tau) e^{-i omega_bar (t-tau)} dtau.
-
-    Piecewise-constant drives integrate in closed form segment by
-    segment; no time quadrature is involved.
-    """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.zeros(len(t_arr), dtype=complex)
-    wb = params.omega_bar
-    edges = protocol.boundaries()
-    for k, (_, eta) in enumerate(protocol.segments):
-        a, b = edges[k], edges[k + 1]
-        active = t_arr > a
-        if not active.any():
-            break
-        ta = t_arr[active]
-        upper = np.minimum(ta, b)
-        out[active] += -eta * (
-            np.exp(-1j * wb * (ta - upper)) - np.exp(-1j * wb * (ta - a))
-        ) / (1j * wb)
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return complex(out[0])
-    return out
-
-
-def _check_segments(protocol: DriveProtocol, tgrid: TimeGrid) -> None:
-    """Require dt to divide every drive segment that starts inside the grid."""
-    n_int = tgrid.n_steps - 1
-    used = 0
-    for dur, _ in protocol.segments:
-        if used >= n_int:
-            break
-        steps = int(round(dur / tgrid.dt))
-        if steps < 1 or abs(steps * tgrid.dt - dur) > 1e-9 * max(dur, 1.0):
-            raise ValueError(
-                f"segment duration {dur} is not a positive multiple of dt = {tgrid.dt}"
-            )
-        used += steps
-
-
 def _forcing(params: SystemParams, protocol: DriveProtocol, tgrid: TimeGrid,
              a0: complex) -> np.ndarray:
-    """Closed-form forcing on the grid, plus the free ring-down of a0."""
-    times = tgrid.times()
-    forcing = np.asarray(forcing_F(params, protocol, times), dtype=complex)
+    """Drive forcing F(t) = -int_0^t eta(tau) e^{-i omega_bar (t-tau)} dtau
+    on the grid, plus the free ring-down a0 e^{-i omega_bar t}.
+
+    One walk over the segments turns them into whole-step runs: dt must
+    divide every segment that starts inside the grid, a drive that ends
+    early leaves a zero-drive run, and one longer than the grid is cut.
+    Over a run of constant eta from sample a, with z = e^{-i omega_bar dt},
+
+        F(a + l dt) = z^l F(a) - eta (1 - z^l) / (i omega_bar),
+
+    so every sample of the run is one vectorized closed form from the
+    run's start, and its last sample starts the next run.
+    """
+    wb = params.omega_bar
+    z = np.exp(-1j * wb * tgrid.times())  # z^l, since t_l = l dt
+    forcing = np.zeros(tgrid.n_steps, dtype=complex)
+    last = tgrid.n_steps - 1
+    start = 0
+    for dur, eta in protocol.segments + ((None, 0j),):
+        if start == last:
+            break
+        if dur is None:
+            stop = last
+        else:
+            steps = int(round(dur / tgrid.dt))
+            if steps < 1 or abs(steps * tgrid.dt - dur) > 1e-9 * max(dur, 1.0):
+                raise ValueError(f"segment duration {dur} is not a positive "
+                                 f"multiple of dt = {tgrid.dt}")
+            stop = min(start + steps, last)
+        zl = z[1:stop - start + 1]
+        forcing[start + 1:stop + 1] = zl * forcing[start] - eta * (1.0 - zl) / (1j * wb)
+        start = stop
     if a0 != 0.0:
-        forcing = forcing + a0 * np.exp(-1j * params.omega_bar * times)
+        forcing += a0 * z
     return forcing
 
 
@@ -218,7 +212,6 @@ def solve(params: SystemParams, density: SpinDensity, protocol: DriveProtocol,
     """
     if tgrid.t_start != 0.0:
         raise ValueError("solve expects a grid starting at t = 0")
-    _check_segments(protocol, tgrid)
     forcing = _forcing(params, protocol, tgrid, a0)
     if params.Omega == 0.0:
         return ComplexSeries(grid=tgrid, values=forcing)
@@ -262,12 +255,11 @@ def solve_direct(params: SystemParams, density: SpinDensity,
             f"solve_direct is capped at {MAX_DIRECT_STEPS} samples, "
             f"got {tgrid.n_steps}; use solve for long grids"
         )
-    _check_segments(protocol, tgrid)
+    forcing = _forcing(params, protocol, tgrid, a0)
     if grid is None:
         grid = grid_for_density(density, t_max=tgrid.t_end)
     kernel = KernelCache(params, density, grid, tgrid.dt)
     k = np.array([kernel.single(m) for m in range(tgrid.n_steps)])
-    forcing = _forcing(params, protocol, tgrid, a0)
     return ComplexSeries(grid=tgrid, values=_march_full(k, forcing, tgrid.dt))
 
 
@@ -335,15 +327,13 @@ def steady_state(params: SystemParams, density: SpinDensity,
         return (-eta / params.kappa, 0j)
     if isinstance(density, DiracDeltaDensity):
         raise ValueError("steady state needs a broadened density (or Omega = 0)")
-    from .spectral import sokhotski_split  # local import keeps module deps one-way
-
     if grid is None:
         grid = grid_for_density(density)
-    pv, half_residue = sokhotski_split(density, grid, density.pdf)
-    denom = -params.kappa + 1j * params.Omega**2 * (pv + half_residue)
-    a_st = eta / denom
-    rho_s = density.pdf(density.omega_s)
-    j_st = (1j * a_st * params.Omega / 2.0) * (pv + 1j * math.pi * rho_s)
+    # PV int rho(omega)/(omega - omega_s) is minus the Lamb shift at omega_s.
+    pv = -lamb_shift(density, grid, density.omega_s)
+    split = pv + 1j * math.pi * density.pdf(density.omega_s)
+    a_st = eta / (-params.kappa + 1j * params.Omega**2 * split)
+    j_st = (1j * a_st * params.Omega / 2.0) * split
     return (complex(a_st), complex(j_st))
 
 

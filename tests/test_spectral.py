@@ -16,7 +16,6 @@ from cavityspin import (
     lamb_shift,
     mhz_to_angular,
     normalize,
-    sokhotski_split,
 )
 from cavityspin import laplace
 from cavityspin.spectral import lamb_shift_nodes, qgauss_norm
@@ -203,25 +202,6 @@ class TestLambShift:
         slow = lamb_shift(density, grid, grid.omegas[1:-1])
         assert fast[0] == fast[-1] == 0.0
         assert np.abs(fast[1:-1] - slow).max() <= 1e-12 * np.abs(slow).max()
-
-
-class TestSokhotskiSplit:
-    def test_pv_of_symmetric_density_vanishes(self, qg):
-        grid = grid_for_density(qg)
-        pv, half_residue = sokhotski_split(qg, grid, qg.pdf)
-        assert abs(pv) < 1e-9
-        assert half_residue == pytest.approx(1j * math.pi * qg.pdf(qg.omega_s))
-
-    def test_pv_of_shifted_lorentzian(self):
-        # f(omega) = rho(omega + delta) breaks the symmetry. Substituting
-        # y = omega + delta gives P int rho(y)/(y - delta) dy, which is
-        # minus the Hilbert-transform closed form at delta: -1/(2 delta).
-        delta = 0.04
-        lor = LorentzianDensity(omega_s=0.0, delta=delta)
-        grid = grid_for_density(lor, points_per_fwhm=2000)
-        f = lambda w: lor.pdf(np.asarray(w) + delta)
-        pv, _ = sokhotski_split(lor, grid, f)
-        assert pv == pytest.approx(-1.0 / (2.0 * delta), rel=1e-3)
 
 
 @settings(max_examples=25, deadline=None)

@@ -17,8 +17,8 @@ from cavityspin.lorentz import LorentzParams, cavity_off
 from cavityspin.volterra import (
     KernelCache,
     collective_spin,
+    _forcing,
     decay_from_steady_state,
-    forcing_F,
     kernel_K,
     solve,
     solve_direct,
@@ -96,20 +96,35 @@ class TestKernel:
         assert np.abs(direct - vals).max() < 1e-12 * np.abs(vals).max()
 
 
+def closed_form_forcing(p, prot, t):
+    """Reference F(t) at arbitrary times, one masked closed form per
+    segment: F(t) = -sum_k eta_k int_{a_k}^{min(t, b_k)} e^{-i omega_bar (t - tau)} dtau."""
+    out = np.zeros(len(t), dtype=complex)
+    wb = p.omega_bar
+    edges = prot.boundaries()
+    for (a, b), eta in zip(zip(edges, edges[1:]), prot.amplitudes()):
+        active = t > a
+        ta = t[active]
+        out[active] += -eta * (np.exp(-1j * wb * (ta - np.minimum(ta, b)))
+                               - np.exp(-1j * wb * (ta - a))) / (1j * wb)
+    return out
+
+
 class TestForcing:
     def test_resonant_rect_closed_form(self):
         p = resonant_system(0.0)
         eta = KAPPA
         tau_d = 80.0
         prot = rect_pulse(eta, tau_d)
-        t = np.linspace(0.0, 200.0, 401)
+        tgrid = TimeGrid(0.0, 0.5, 401)
+        t = tgrid.times()
         inside = t <= tau_d
         expected = np.where(
             inside,
             -(eta / p.kappa) * (1.0 - np.exp(-p.kappa * t)),
             -(eta / p.kappa) * (np.exp(-p.kappa * (t - tau_d)) - np.exp(-p.kappa * t)),
         )
-        got = forcing_F(p, prot, t)
+        got = _forcing(p, prot, tgrid, 0.0)
         np.testing.assert_allclose(got.real, expected, rtol=0, atol=1e-14 * abs(expected).max())
         assert np.abs(got.imag).max() < 1e-14
 
@@ -121,6 +136,7 @@ class TestForcing:
 
         wb = p.omega_bar
         bounds = prot.boundaries()
+        got = _forcing(p, prot, TimeGrid(0.0, 0.1, 451), 0.0)
         for t_eval in (5.7, 12.0, 16.3, 45.0):
             expected = 0j
             # Quadrature segment by segment: the integrand is smooth inside
@@ -131,11 +147,33 @@ class TestForcing:
                     continue
                 tau = np.linspace(a, b, 100_001)
                 expected += trapezoid(-eta_seg * np.exp(-1j * wb * (t_eval - tau)), tau)
-            assert forcing_F(p, prot, t_eval) == pytest.approx(expected, rel=1e-9, abs=1e-13)
+            assert got[round(t_eval / 0.1)] == pytest.approx(expected, rel=1e-9, abs=1e-13)
 
     def test_empty_protocol_is_zero(self):
         p = resonant_system(0.0)
-        assert forcing_F(p, DriveProtocol(()), 10.0) == 0.0
+        assert not _forcing(p, DriveProtocol(()), TimeGrid(0.0, DT, 201), 0.0).any()
+
+    @pytest.mark.parametrize("probe_mhz", [0.0, 9.6])
+    @pytest.mark.parametrize("n_pulses,n_steps", [
+        (70, 27_301),  # the train fills the grid
+        (70, 10_001),  # drive longer than the grid, cut mid-segment
+        (30, 27_301),  # drive ends early, zero-drive tail
+    ])
+    def test_matches_per_segment_closed_form(self, probe_mhz, n_pulses, n_steps):
+        p = detuned_system(0.0, probe_offset=mhz_to_angular(probe_mhz))
+        prot = phase_switched_train(KAPPA, 19.5, n_pulses)
+        tgrid = TimeGrid(0.0, DT, n_steps)
+        expected = closed_form_forcing(p, prot, tgrid.times())
+        assert rel_linf(_forcing(p, prot, tgrid, 0.0), expected) <= 1e-12
+
+    def test_only_segments_inside_the_grid_are_checked(self):
+        p = resonant_system(0.0)
+        tgrid = TimeGrid(0.0, DT, 401)
+        prot = DriveProtocol(((20.0, KAPPA), (19.53, -KAPPA)))
+        expected = closed_form_forcing(p, prot, tgrid.times())
+        assert rel_linf(_forcing(p, prot, tgrid, 0.0), expected) <= 1e-12
+        with pytest.raises(ValueError, match="multiple of dt"):
+            _forcing(p, prot, TimeGrid(0.0, DT, 402), 0.0)
 
 
 class TestSolveBasics:
@@ -144,7 +182,7 @@ class TestSolveBasics:
         prot = phase_switched_train(KAPPA, 20.0, 3)
         tgrid = TimeGrid(0.0, DT, 2001)
         a = solve(p, ensemble, prot, tgrid)
-        expected = forcing_F(p, prot, tgrid.times())
+        expected = closed_form_forcing(p, prot, tgrid.times())
         assert np.abs(a.values - expected).max() < 1e-13 * np.abs(expected).max()
 
     def test_zero_coupling_solve_matches_direct(self, ensemble):
@@ -196,6 +234,12 @@ class TestSolveBasics:
         p = resonant_system(8.56)
         with pytest.raises(ValueError):
             solve(p, ensemble, rect_pulse(KAPPA, 10.03), TimeGrid(0.0, DT, 500))
+
+    @pytest.mark.parametrize("solver", [solve, solve_direct])
+    def test_segment_not_multiple_of_dt_raises(self, ensemble, solver):
+        with pytest.raises(ValueError, match="multiple of dt"):
+            solver(resonant_system(8.56), ensemble, phase_switched_train(KAPPA, 19.53, 3),
+                   TimeGrid(0.0, DT, 2001))
 
     def test_direct_step_cap(self, ensemble):
         p = resonant_system(8.56)
