@@ -125,25 +125,6 @@ class DriveProtocol:
                 raise ValueError(f"segment durations must be positive, got {d}")
         object.__setattr__(self, "segments", segs)
 
-    def boundaries(self) -> np.ndarray:
-        """Cumulative segment edges [0, T_1, T_2, ...]."""
-        return np.concatenate(([0.0], np.cumsum([d for d, _ in self.segments])))
-
-    def amplitudes(self) -> np.ndarray:
-        return np.array([e for _, e in self.segments], dtype=complex)
-
-    def eta_at(self, t):
-        """Drive amplitude at time(s) t (scalar or array)."""
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape, dtype=complex)
-        if self.segments:
-            edges = self.boundaries()
-            idx = np.searchsorted(edges, t, side="right") - 1
-            inside = (idx >= 0) & (idx < len(self.segments)) & (t < edges[-1])
-            amps = self.amplitudes()
-            out[inside] = amps[idx[inside]]
-        return out if out.shape else complex(out)
-
     def pulse_energy(self) -> float:
         """Time integral of |eta|^2 over the whole protocol."""
         return float(sum(d * abs(e) ** 2 for d, e in self.segments))

@@ -27,6 +27,10 @@ the pole term asymptotically, and the observable envelope decays faster
 than exp(2*sigma*t) at every time (cross-checked against the time-domain
 solver out to eleven decades of intensity). Fit the reconstructed trace
 with decay_rate_timefit instead of quoting 2*|sigma|.
+
+Only the pole search and the pole weights need adaptive quadrature;
+`_pole_map` and `residue_weight` import scipy.integrate when called, so
+importing this module (as every time-domain run does) loads numpy only.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .core import ComplexSeries, SystemParams, TimeGrid
 from .spectral import (
@@ -148,6 +151,8 @@ def _pole_map(
     params: SystemParams, density: SpinDensity, sigma: float, omega_j: float
 ) -> tuple[float, float]:
     """One application of the coupled fixed-point equations."""
+    from scipy.integrate import IntegrationWarning, quad
+
     lo, hi = density.support
     s2 = sigma * sigma
     pts = _quad_points(-omega_j, abs(sigma), lo, hi)
@@ -261,6 +266,8 @@ def residue_weight(
     A denominator within 1e-12 of zero means a degenerate (merging) pole
     where the isolated-pole expansion breaks down; that raises.
     """
+    from scipy.integrate import IntegrationWarning, quad
+
     lo, hi = density.support
     s2 = sigma * sigma
     pts = _quad_points(-omega_j, abs(sigma), lo, hi)

@@ -8,22 +8,26 @@ truncated supports, with the truncated tail mass tracked analytically so
 normalization checks stay honest.
 Every sum over the uniform grid has its one home here: the chirp-z node
 sum, FFT convolution and the discrete Hilbert transform (Lamb shift).
+
+The module imports numpy only. scipy's adaptive quadrature is loaded
+inside `normalize`, the one function that needs it, so time-domain runs
+never pay its import.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-from scipy import integrate
-from scipy.fft import next_fast_len
-from scipy.special import gamma as gamma_fn
 
 TWO_PI = 2.0 * math.pi
 # Support half-width of a Lorentzian line, in units of its delta.
 LORENTZ_HALF_WIDTH = 200.0
+# Tolerance, in node spacings, below which a support edge past a node
+# is taken to sit on it (rounding of the half-width, not a real overhang).
+_GRID_SNAP = 1e-6
 
 
 def fwhm_relation(q: float, delta: float) -> float:
@@ -51,7 +55,7 @@ def qgauss_norm(q: float, delta: float) -> float:
     """Analytic normalization constant of the unit-area q-Gaussian."""
     _check_q(q)
     p = 1.0 / (q - 1.0)
-    return gamma_fn(p) / (gamma_fn(p - 0.5) * delta * math.sqrt(math.pi / (q - 1.0)))
+    return math.gamma(p) / (math.gamma(p - 0.5) * delta * math.sqrt(math.pi / (q - 1.0)))
 
 
 @dataclass(frozen=True)
@@ -263,8 +267,15 @@ def grid_for_density(
 
 
 def uniform_grid(center: float, d_omega: float, half_width: float) -> FrequencyGrid:
-    """Trapezoid grid center + k d_omega, |k| <= ceil(half_width / d_omega)."""
-    n_half = int(math.ceil(half_width / d_omega))
+    """Trapezoid grid center + k d_omega, |k| <= ceil(half_width / d_omega).
+
+    A ratio at most _GRID_SNAP above an integer counts as that integer,
+    so last-ulp noise in the half-width cannot add a node pair. A
+    Lorentzian's half-width LORENTZ_HALF_WIDTH * delta is exactly 20,000
+    of the default FWHM/200 spacings, so its default grid has 40,001
+    nodes for every delta (unless t_max tightens the spacing).
+    """
+    n_half = math.ceil(half_width / d_omega - _GRID_SNAP)
     omegas = center + d_omega * np.arange(-n_half, n_half + 1)
     weights = np.full(len(omegas), d_omega)
     weights[0] *= 0.5
@@ -280,10 +291,12 @@ def normalize(density: SpinDensity, tol: float = 1e-8) -> float:
     ``tol``. Truncation is a quadrature concern, not an evaluation concern,
     so the analytic constant is returned unchanged.
     """
+    from scipy.integrate import quad
+
     if isinstance(density, DiracDeltaDensity):
         return 1.0
     lo, hi = density.support
-    mass, err = integrate.quad(
+    mass, err = quad(
         density.pdf, lo, hi, points=[density.omega_s], limit=200,
         epsabs=1e-12, epsrel=1e-11,
     )
@@ -357,10 +370,30 @@ def lamb_shift_nodes(density: SpinDensity, grid: FrequencyGrid) -> np.ndarray:
     return out
 
 
+@cache
+def _fast_len(n: int) -> int:
+    """Smallest integer >= n whose prime factors are all 2, 3, 5, 7 or 11.
+
+    The rule of scipy.fft.next_fast_len for complex transforms, so FFT
+    lengths match it exactly. The next power of two is such a number, so
+    the answer is the least one >= n among the 11-smooth numbers up to
+    it. Cached: the solvers ask for the same few lengths many times.
+    """
+    top = 1 << (n - 1).bit_length()
+    smooth = np.array([1], dtype=np.int64)
+    for p in (2, 3, 5, 7, 11):
+        powers = [1]
+        while powers[-1] * p <= top:
+            powers.append(powers[-1] * p)
+        smooth = np.outer(smooth, powers).ravel()
+        smooth = smooth[smooth <= top]
+    return int(smooth[smooth >= n].min())
+
+
 def _conv(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """First n terms of the linear convolution a * b, by FFT."""
     a, b = a[:n], b[:n]
-    size = next_fast_len(len(a) + len(b) - 1)
+    size = _fast_len(len(a) + len(b) - 1)
     spectrum = np.fft.fft(a, size)
     spectrum *= np.fft.fft(b, size)
     return np.fft.ifft(spectrum)[:n].copy()  # frees the padded buffer
@@ -382,7 +415,7 @@ def _node_sum(coef: np.ndarray, grid: FrequencyGrid, offset: float, dt: float,
     # A one-node grid's d_omega is a placeholder; its chirp would only
     # add rounding.
     theta = grid.d_omega * dt if grid.n > 1 else 0.0
-    size = next_fast_len(n + grid.n - 1)
+    size = _fast_len(n + grid.n - 1)
     spectrum = np.fft.fft(coef * np.exp(-0.5j * theta * (k * k)), size)
     spectrum *= np.fft.fft(np.exp(0.5j * theta * (d * d)), size)
     phase = (grid.omegas[j0] - offset) * dt * m + 0.5 * theta * (m * m)

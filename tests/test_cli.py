@@ -1,12 +1,17 @@
 """CLI contract: subcommands, overrides, exit codes, output files."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from cavityspin.cli import main
+from cavityspin.harness import WORKER_ENV
+
+EXAMPLES = sorted((Path(__file__).resolve().parent.parent / "docs" / "examples").glob("*.json"))
 
 
 @pytest.fixture()
@@ -157,13 +162,54 @@ def test_module_entry_point(small_config):
     assert (tmp_path / "sub.csv").exists()
 
 
-def test_import_leaves_scipy_signal_out():
-    # scipy.signal takes ~0.4 s to import; the CLI's start-up cost must
-    # not grow by it (the solver needs FFTs only, from numpy.fft).
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, cavityspin.cli; print('scipy.signal' in sys.modules)"],
-        capture_output=True, text=True,
-    )
+# scipy's submodules cost 0.3-0.6 s of import and 45 MiB of memory; the
+# time-domain path needs numpy only. Tests may import scipy, so each check
+# runs in a fresh interpreter.
+_SCIPY_SUBMODULES = ("scipy.integrate", "scipy.special", "scipy.fft",
+                     "scipy.optimize", "scipy.signal")
+
+_RUN_SCENARIOS = """
+import json, sys
+from cavityspin import cli
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+print(json.dumps([m for m in json.loads(sys.argv[2]) if m in sys.modules]))
+"""
+
+_CALL_QUADRATURE = """
+import json, sys
+from cavityspin import QGaussianDensity, SystemParams, laplace, normalize
+from cavityspin import delta_from_fwhm, ghz_to_angular, mhz_to_angular
+w = ghz_to_angular(2.6915)
+rho = QGaussianDensity(w, 1.39, delta_from_fwhm(1.39, mhz_to_angular(9.4)))
+params = SystemParams(w, w, w, kappa=mhz_to_angular(0.8), Omega=mhz_to_angular(1.3))
+assert "scipy.integrate" not in sys.modules
+norm = normalize(rho)
+weight = laplace.residue_weight(params, rho, -params.kappa, -w)
+print(json.dumps([norm, abs(weight), "scipy.integrate" in sys.modules]))
+"""
+
+
+def _fresh_python(script, *args):
+    env = {**os.environ, WORKER_ENV: "1"}
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_import_leaves_scipy_signal_out(tmp_path):
+    # Every shipped example, coarse, in one process: the time-domain
+    # scenarios (and lorentz-analytic) must not load a scipy submodule.
+    runs = [[json.loads(path.read_text())["scenario"], str(path), "grid.dt_ns=0.5",
+             f"output={tmp_path / path.stem}"] for path in EXAMPLES]
+    loaded = _fresh_python(_RUN_SCENARIOS, json.dumps(runs), json.dumps(_SCIPY_SUBMODULES))
+    assert loaded == []
+    for path in EXAMPLES:
+        assert (tmp_path / f"{path.stem}.csv").exists()
+
+
+def test_quadrature_imports_scipy_when_called():
+    norm, weight, loaded = _fresh_python(_CALL_QUADRATURE)
+    assert norm > 0 and weight > 0
+    assert loaded

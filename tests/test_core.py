@@ -69,17 +69,16 @@ class TestDriveProtocol:
         with pytest.raises(ValueError):
             DriveProtocol(((0.0, 1.0),))
 
-    def test_eta_at_piecewise(self):
+    def test_segments_piecewise(self):
         p = DriveProtocol(((10.0, 1.0 + 0j), (5.0, -2.0 + 0j)))
-        assert p.eta_at(5.0) == 1.0
-        assert p.eta_at(12.0) == -2.0
-        assert p.eta_at(15.0) == 0.0  # zero after the last segment
-        assert p.eta_at(20.0) == 0.0
-        assert p.eta_at(-1.0) == 0.0
+        assert p.segments == ((10.0, 1.0 + 0j), (5.0, -2.0 + 0j))
+        assert DriveProtocol(()).segments == ()
 
-    def test_boundaries(self):
-        p = DriveProtocol(((10.0, 1.0), (5.0, 2.0)))
-        assert np.allclose(p.boundaries(), [0.0, 10.0, 15.0])
+    def test_segments_coerced_to_float_and_complex(self):
+        p = DriveProtocol([(10, 1), (5, 2.0)])
+        assert p.segments == ((10.0, 1.0 + 0j), (5.0, 2.0 + 0j))
+        assert all(type(d) is float and type(e) is complex for d, e in p.segments)
+        assert p == DriveProtocol(((10.0, 1.0 + 0j), (5.0, 2.0 + 0j)))
 
     def test_rect_pulse_requires_positive_duration(self):
         with pytest.raises(ValueError):
@@ -90,7 +89,7 @@ class TestDriveProtocol:
 
     def test_train_alternates_sign(self):
         train = phase_switched_train(1.0, 2.0, 4)
-        assert np.allclose(train.amplitudes(), [1.0, -1.0, 1.0, -1.0])
+        assert [e for _, e in train.segments] == [1.0, -1.0, 1.0, -1.0]
 
     @given(
         st.complex_numbers(min_magnitude=1e-3, max_magnitude=10, allow_nan=False,
