@@ -96,9 +96,9 @@ def _run_validate() -> int:
     t0 = time.perf_counter()
     checks = harness.run_validation()
     failed = 0
-    for name, ok, detail in checks:
+    for name, ok, detail, seconds in checks:
         mark = "ok  " if ok else "FAIL"
-        print(f"{mark} {name}: {detail}")
+        print(f"{mark} {name}: {detail} ({seconds:.2f} s)")
         failed += 0 if ok else 1
     print(f"{len(checks) - failed}/{len(checks)} checks passed "
           f"in {time.perf_counter() - t0:.1f} s")

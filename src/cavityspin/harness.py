@@ -21,6 +21,7 @@ import json
 import math
 import os
 import platform
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import Callable
@@ -705,12 +706,7 @@ def _max_scan_point(config, assignment):
 
 
 def _run_lorentz_analytic(config, scenario) -> ResultTable:
-    """Closed-form rectangular-pulse response of the Lorentzian model.
-
-    The post-pulse branch assumes the drive phase has settled, so the
-    configured duration should exceed a few multiples of
-    1/(half-width + kappa).
-    """
+    """Closed-form rectangular-pulse response of the Lorentzian model."""
     params, _, eta = _build_point(config)
     duration, tgrid = _rect_pulse_grid(config)
     p = lorentz.LorentzParams(
@@ -721,9 +717,7 @@ def _run_lorentz_analytic(config, scenario) -> ResultTable:
         tau_d=duration["snapped"],
     )
     t = tgrid.times()
-    on = t <= duration["snapped"]
-    a = np.where(on, lorentz.cavity_on(p, t), lorentz.cavity_off(p, t))
-    jx = np.where(on, lorentz.spin_on(p, t), lorentz.spin_off(p, t))
+    a, jx = lorentz.pulse_response(p, t)
     rows = np.column_stack([t, a**2, jx**2, np.zeros_like(t)])
     return _finish(config, scenario.columns, [rows], {"duration_ns": duration}, [])
 
@@ -908,12 +902,21 @@ def _common_derived(config: ScenarioConfig) -> dict:
 # fast invariant suite (the CLI's validate subcommand)
 
 
-def run_validation() -> list[tuple[str, bool, str]]:
+def run_validation() -> list[tuple[str, bool, str, float]]:
     """Cheap end-to-end invariants; the whole list runs in well under a
-    minute. Returns (name, passed, detail) triples."""
+    minute. Returns (name, passed, detail, seconds) per check; seconds is
+    the wall time since the previous check was recorded."""
     from .spectral import normalize
 
-    checks: list[tuple[str, bool, str]] = []
+    checks: list[tuple[str, bool, str, float]] = []
+    clock = time.perf_counter()
+
+    def check(name: str, passed, detail: str) -> None:
+        nonlocal clock
+        now = time.perf_counter()
+        checks.append((name, bool(passed), detail, now - clock))
+        clock = now
+
     omega_c = ghz_to_angular(2.6915)
     kappa = mhz_to_angular(0.8)
     params = SystemParams(omega_c=omega_c, omega_s=omega_c, omega_p=omega_c,
@@ -923,40 +926,39 @@ def run_validation() -> list[tuple[str, bool, str]]:
 
     try:
         norm = normalize(density)
-        checks.append(("density normalization (quadrature + tail)", True,
-                       f"norm constant {norm:.6f}"))
+        check("density normalization (quadrature + tail)", True,
+              f"norm constant {norm:.6f}")
     except ValueError as exc:
-        checks.append(("density normalization (quadrature + tail)", False, str(exc)))
+        check("density normalization (quadrature + tail)", False, str(exc))
 
     tgrid = TimeGrid(0.0, 0.1, 1001)
     protocol = rect_pulse(kappa, 60.0)
     a1 = volterra.solve(params, density, protocol, tgrid)
     a2 = volterra.solve(params, density, rect_pulse(2.0 * kappa, 60.0), tgrid)
     lin = np.max(np.abs(2.0 * a1.values - a2.values)) / np.max(np.abs(a2.values))
-    checks.append(("drive linearity", lin < 1e-12, f"relative defect {lin:.2e}"))
+    check("drive linearity", lin < 1e-12, f"relative defect {lin:.2e}")
 
-    kernel = volterra.KernelCache(params, density,
-                                  grid_for_density(density, t_max=tgrid.t_end), tgrid.dt)
-    table = kernel.values(tgrid.n_steps)
-    lags = (1, tgrid.n_steps // 2, tgrid.n_steps - 1)
-    kerr = max(abs(table[m] - kernel.single(m)) for m in lags) / np.max(np.abs(table))
-    checks.append(("chirp-z kernel table vs direct sums",
-                   kerr < 1e-12, f"relative {kerr:.2e} at lags {lags}"))
+    fgrid = grid_for_density(density, t_max=tgrid.t_end)
+    table = volterra.KernelCache(params, density, fgrid, tgrid.dt).values(tgrid.n_steps)
+    lags = np.array([1, tgrid.n_steps // 2, tgrid.n_steps - 1])
+    direct_k = volterra.kernel_K(params, density, tgrid.dt * lags, grid=fgrid)
+    kerr = np.max(np.abs(table[lags] - direct_k)) / np.max(np.abs(table))
+    check("chirp-z kernel table vs direct sums",
+          kerr < 1e-12, f"relative {kerr:.2e} at lags {tuple(lags.tolist())}")
 
     direct = volterra.solve_direct(params, density, protocol, tgrid)
     rec = np.max(np.abs(a1.values - direct.values)) / np.max(np.abs(direct.values))
-    checks.append(("Toeplitz solve vs step-by-step march",
-                   rec < 1e-6, f"relative L-inf {rec:.2e}"))
+    check("Toeplitz solve vs step-by-step march",
+          rec < 1e-6, f"relative L-inf {rec:.2e}")
 
     j = volterra.collective_spin(params, density, a1)
     jy = np.max(np.abs(j.values.imag)) / max(np.max(np.abs(j.values)), 1e-300)
-    checks.append(("resonant spin quadrature J_y ~ 0",
-                   jy < 1e-8, f"relative J_y {jy:.2e}"))
+    check("resonant spin quadrature J_y ~ 0", jy < 1e-8, f"relative J_y {jy:.2e}")
 
     closure = laplace.invert(params, density, TimeGrid(0.0, 0.05, 2)).values[0]
     err = abs(closure - 1.0)
-    checks.append(("single-photon weight closure at t = 0",
-                   err < 1e-3, f"|A(0) - 1| = {err:.2e}"))
+    check("single-photon weight closure at t = 0",
+          err < 1e-3, f"|A(0) - 1| = {err:.2e}")
 
     lp = lorentz.LorentzParams(Omega=mhz_to_angular(9.786),
                                Delta=mhz_to_angular(4.598),
@@ -967,7 +969,6 @@ def run_validation() -> list[tuple[str, bool, str]]:
                           rect_pulse(kappa, 300.0), lgrid)
     closed = lorentz.cavity_on(lp, lgrid.times())
     lerr = np.max(np.abs(lnum.values - closed)) / np.max(np.abs(closed))
-    checks.append(("closed-form Lorentzian vs solver",
-                   lerr < 1e-3, f"relative L-inf {lerr:.2e}"))
+    check("closed-form Lorentzian vs solver", lerr < 1e-3, f"relative L-inf {lerr:.2e}")
 
     return checks

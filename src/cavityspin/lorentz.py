@@ -6,11 +6,12 @@ exponential and the driven cavity reduces to a damped oscillator pair:
     A'' + (Delta + kappa) A' + (Omega^2 + Delta kappa) A + eta Delta = 0
 
 during the drive, and the same homogeneous equation after switch-off.
-This module evaluates the textbook solutions for the cavity amplitude
-and the collective spin during and after a rectangular pulse, locates
-the post-pulse overshoot, and provides the analytic overshoot estimate
-for comparison (the two disagree by a known prefactor; the numerical
-locator is the ground truth).
+Every signal is evaluated in one two-mode form, const + c1 e^{l1 x} +
+c2 e^{l2 x} (`modal_form`), which stays real through the overdamped
+regime; the docstrings give the equivalent textbook trig forms. The
+module also gives the exact first post-pulse extremum and the analytic
+overshoot estimate for comparison (the two disagree by a known
+prefactor; the exact extremum is the ground truth).
 
 All quantities are real at resonance; functions accept scalar or array
 times and return real values.
@@ -69,10 +70,25 @@ def steady_values(p: LorentzParams) -> tuple[float, float]:
     return (-p.Delta * p.eta / denom, p.eta * p.Omega / (2.0 * denom))
 
 
-def _complex_rabi(p: LorentzParams) -> complex:
-    # Analytic continuation of Omega_R into the overdamped regime; the
-    # closed forms below stay real either way.
-    return cmath.sqrt(complex(4.0 * p.Omega**2 - (p.Delta - p.kappa) ** 2))
+def _coefficients(roots, offset, a0, d0):
+    """(c1, c2) with offset + c1 + c2 = a0 and l1 c1 + l2 c2 = d0."""
+    l1, l2 = roots
+    c1 = (d0 - l2 * (a0 - offset)) / (l1 - l2)
+    return c1, a0 - offset - c1
+
+
+def _spin_modes(p: LorentzParams, coeffs, roots):
+    """Spin coefficients from cavity ones, J_x = (A' + kappa A + eta(t)) / (2 Omega);
+    the spins decouple (J_x = 0) at Omega = 0."""
+    if p.Omega == 0:
+        return 0.0, 0.0
+    return tuple((l + p.kappa) * c / (2 * p.Omega) for c, l in zip(coeffs, roots))
+
+
+def _evaluate(form, x):
+    const, (c1, c2), (l1, l2) = form
+    out = (const + c1 * np.exp(l1 * x) + c2 * np.exp(l2 * x)).real
+    return out if out.shape else float(out)
 
 
 def cavity_on(p: LorentzParams, t):
@@ -82,17 +98,7 @@ def cavity_on(p: LorentzParams, t):
            + eta e^{-(Delta+kappa) t/2} / (2 Omega_R (Omega^2 + Delta kappa))
              * [2 Omega_R Delta cos(Omega_R t/2) - (Omega_R^2 - Delta^2 + kappa^2) sin(Omega_R t/2)]
     """
-    t = np.asarray(t, dtype=float)
-    wr = _complex_rabi(p)
-    denom = p.Omega**2 + p.Delta * p.kappa
-    damp = np.exp(-(p.Delta + p.kappa) * t / 2.0)
-    osc = (
-        2.0 * wr * p.Delta * np.cos(wr * t / 2.0)
-        - (wr**2 - p.Delta**2 + p.kappa**2) * np.sin(wr * t / 2.0)
-    )
-    val = -p.Delta * p.eta / denom + p.eta * damp * osc / (2.0 * wr * denom)
-    out = np.asarray(val).real
-    return out if out.shape else float(out)
+    return _evaluate(modal_form(p, "cavity_on"), np.asarray(t, dtype=float))
 
 
 def spin_on(p: LorentzParams, t):
@@ -102,14 +108,7 @@ def spin_on(p: LorentzParams, t):
              - eta Omega e^{-(Delta+kappa) t/2} / (2 Omega_R (Omega^2 + Delta kappa))
                * [(Delta + kappa) sin(Omega_R t/2) + Omega_R cos(Omega_R t/2)]
     """
-    t = np.asarray(t, dtype=float)
-    wr = _complex_rabi(p)
-    denom = p.Omega**2 + p.Delta * p.kappa
-    damp = np.exp(-(p.Delta + p.kappa) * t / 2.0)
-    osc = (p.Delta + p.kappa) * np.sin(wr * t / 2.0) + wr * np.cos(wr * t / 2.0)
-    val = p.eta * p.Omega / (2.0 * denom) - p.eta * p.Omega * damp * osc / (2.0 * wr * denom)
-    out = np.asarray(val).real
-    return out if out.shape else float(out)
+    return _evaluate(modal_form(p, "spin_on"), np.asarray(t, dtype=float))
 
 
 def cavity_off(p: LorentzParams, t):
@@ -119,37 +118,16 @@ def cavity_off(p: LorentzParams, t):
            * [-2 Omega_R Delta cos(Omega_R (t-tau_d)/2)
               + (Omega_R^2 - Delta^2 + kappa^2) sin(Omega_R (t-tau_d)/2)]
     """
-    x = np.asarray(t, dtype=float) - p.tau_d
-    wr = _complex_rabi(p)
-    denom = p.Omega**2 + p.Delta * p.kappa
-    damp = np.exp(-(p.Delta + p.kappa) * x / 2.0)
-    osc = (
-        -2.0 * wr * p.Delta * np.cos(wr * x / 2.0)
-        + (wr**2 - p.Delta**2 + p.kappa**2) * np.sin(wr * x / 2.0)
-    )
-    val = p.eta * damp * osc / (2.0 * wr * denom)
-    out = np.asarray(val).real
-    return out if out.shape else float(out)
+    return _evaluate(modal_form(p, "cavity_off"), np.asarray(t, dtype=float) - p.tau_d)
 
 
 def spin_off(p: LorentzParams, t):
-    """Collective spin J_x after switch-off (t >= tau_d).
+    """Collective spin J_x after switch-off from the steady state (t >= tau_d).
 
     J_x(t) = eta Omega e^{-(Delta+kappa)(t-tau_d)/2} / (2 Omega_R (Omega^2 + Delta kappa))
              * [(Delta + kappa) sin(Omega_R (t-tau_d)/2) + Omega_R cos(Omega_R (t-tau_d)/2)]
-
-    (The half-argument convention matches the drive-phase solutions; with
-    the full argument in the sine this would not satisfy the spin's own
-    equation of motion.)
     """
-    x = np.asarray(t, dtype=float) - p.tau_d
-    wr = _complex_rabi(p)
-    denom = p.Omega**2 + p.Delta * p.kappa
-    damp = np.exp(-(p.Delta + p.kappa) * x / 2.0)
-    osc = (p.Delta + p.kappa) * np.sin(wr * x / 2.0) + wr * np.cos(wr * x / 2.0)
-    val = p.eta * p.Omega * damp * osc / (2.0 * wr * denom)
-    out = np.asarray(val).real
-    return out if out.shape else float(out)
+    return _evaluate(modal_form(p, "spin_off"), np.asarray(t, dtype=float) - p.tau_d)
 
 
 def modal_form(p: LorentzParams, phase: str):
@@ -158,63 +136,52 @@ def modal_form(p: LorentzParams, phase: str):
     Returns (const, (c1, c2), (l1, l2)) such that the signal equals
     const + c1 e^{l1 x} + c2 e^{l2 x} with x measured from the phase
     start. Phases: "cavity_on", "spin_on", "cavity_off", "spin_off".
-    Useful for analytic derivatives in residual checks.
+    The spin coefficients are zero at Omega = 0.
     """
-    l1, l2 = exponents(p)
+    if phase not in ("cavity_on", "spin_on", "cavity_off", "spin_off"):
+        raise ValueError(f"unknown phase {phase!r}")
+    roots = exponents(p)
     a_st, j_st = steady_values(p)
-    if phase in ("cavity_on", "spin_on"):
+    if phase.endswith("_on"):
         # A(0) = 0, A'(0) = -eta
-        a1 = (-p.eta + l2 * a_st) / (l1 - l2)
-        a2 = -a_st - a1
-        if phase == "cavity_on":
-            return a_st, (a1, a2), (l1, l2)
-        if p.Omega == 0:
-            raise ValueError("spin modes require Omega > 0")
-        return j_st, ((l1 + p.kappa) * a1 / (2 * p.Omega),
-                      (l2 + p.kappa) * a2 / (2 * p.Omega)), (l1, l2)
-    if phase in ("cavity_off", "spin_off"):
+        const, coeffs, j_const = a_st, _coefficients(roots, a_st, 0.0, -p.eta), j_st
+    else:
         # A(0) = A_st, A'(0) = +eta (the polarized ensemble pushes back).
-        a1 = (p.eta - l2 * a_st) / (l1 - l2)
-        a2 = a_st - a1
-        if phase == "cavity_off":
-            return 0.0, (a1, a2), (l1, l2)
-        if p.Omega == 0:
-            raise ValueError("spin modes require Omega > 0")
-        return 0.0, ((l1 + p.kappa) * a1 / (2 * p.Omega),
-                     (l2 + p.kappa) * a2 / (2 * p.Omega)), (l1, l2)
-    raise ValueError(f"unknown phase {phase!r}")
+        const, coeffs, j_const = 0.0, _coefficients(roots, 0.0, a_st, p.eta), 0.0
+    if phase.startswith("cavity"):
+        return const, coeffs, roots
+    return j_const, _spin_modes(p, coeffs, roots), roots
 
 
-def _golden_section_max(f, lo: float, hi: float, tol: float) -> float:
-    """Argmax of f on [lo, hi] by golden-section search."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+def pulse_response(p: LorentzParams, t):
+    """(A, J_x) through a rectangular pulse of any length tau_d.
+
+    The drive-phase forms up to tau_d, then free evolution from the
+    actual switch-off state: A(tau_d) = A_on(tau_d) and
+    A'(tau_d+) = A'_on(tau_d) + eta, as the drive leaves A'.
+    """
+    t = np.asarray(t, dtype=float)
+    const, coeffs, roots = on = modal_form(p, "cavity_on")
+    modes = [c * np.exp(l * p.tau_d) for c, l in zip(coeffs, roots)]
+    off = _coefficients(roots, 0.0, const + sum(modes),
+                        roots[0] * modes[0] + roots[1] * modes[1] + p.eta)
+    x = np.maximum(t - p.tau_d, 0.0)  # the off form grows backwards in time
+    a = np.where(t <= p.tau_d, _evaluate(on, t), _evaluate((0.0, off, roots), x))
+    jx = np.where(t <= p.tau_d, _evaluate(modal_form(p, "spin_on"), t),
+                  _evaluate((0.0, _spin_modes(p, off, roots), roots), x))
+    return a, jx
 
 
 def overshoot_first_peak(p: LorentzParams) -> tuple[float, float]:
-    """Numerically locate the first post-pulse maximum of A(t)^2.
+    """First extremum of A(t) after switch-off from the steady state.
 
-    Searches one full Rabi period past switch-off by golden section
-    (time tolerance 1e-6 ns) and returns (t_peak, A_peak^2).
+    A' vanishes first at t1 = 2 arccos(-(Delta-kappa)/(2 Omega)) / Omega_R
+    past tau_d, where A_1 = eta Omega e^{-(Delta+kappa) t1/2} / (Omega^2 + Delta kappa);
+    returns (tau_d + t1, A_1^2).
     """
-    wr = rabi_frequency(p)
-    lo, hi = p.tau_d, p.tau_d + 2.0 * math.pi / wr
-    f = lambda t: float(cavity_off(p, t)) ** 2
-    t_peak = _golden_section_max(f, lo, hi, tol=1e-6)
-    return t_peak, f(t_peak)
+    t1 = 2.0 * math.acos(-(p.Delta - p.kappa) / (2.0 * p.Omega)) / rabi_frequency(p)
+    a1 = p.eta * p.Omega / (p.Omega**2 + p.Delta * p.kappa)
+    return p.tau_d + t1, a1**2 * math.exp(-(p.Delta + p.kappa) * t1)
 
 
 def overshoot_formula(p: LorentzParams) -> float:
@@ -222,10 +189,10 @@ def overshoot_formula(p: LorentzParams) -> float:
 
         A_1^2 = A_st^2 exp(-(2(Delta+kappa)/Omega_R) arccos[-(Delta-kappa)/(2 Omega)]).
 
-    As written this can never exceed A_st^2, while the located peak does
-    for strong coupling; a coupling-dependent prefactor appears to be
-    missing. Both values are reported by the tooling rather than patching
-    the expression.
+    As written this can never exceed A_st^2, while the exact peak
+    (`overshoot_first_peak`) does for strong coupling: it is this value
+    times (Omega/Delta)^2. Both values are reported by the tooling rather
+    than patching the expression.
     """
     wr = rabi_frequency(p)
     a_st, _ = steady_values(p)

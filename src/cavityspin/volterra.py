@@ -57,8 +57,15 @@ def _mass_weights(density: SpinDensity, grid: FrequencyGrid) -> np.ndarray:
     return density.pdf(grid.omegas) * grid.weights
 
 
+def _kernel_coefficients(params: SystemParams, density: SpinDensity,
+                         grid: FrequencyGrid) -> np.ndarray:
+    """Node coefficients c_i = m_i / (i u_i) of the kernel sum."""
+    u = grid.omegas - params.omega_c + 1j * params.kappa
+    return _mass_weights(density, grid) / (1j * u)
+
+
 class KernelCache:
-    """Kernel values K(m*dt) on the lag grid, built incrementally.
+    """Kernel table K(m*dt) on the lag grid, one chirp-z sum.
 
     K(x) = Omega^2 * sum_i c_i (e^{-i nu_i x} - e^{-i omega_bar x}),
     c_i = m_i / (i u_i), u_i = omega_i - omega_c + i kappa,
@@ -70,52 +77,34 @@ class KernelCache:
     def __init__(self, params: SystemParams, density: SpinDensity,
                  grid: FrequencyGrid, dt: float):
         self.dt = dt
-        self._omega2 = params.Omega**2
+        self._params = params
         self._grid = grid
-        self._omega_p = params.omega_p
-        self._nu = grid.omegas - params.omega_p
-        u = grid.omegas - params.omega_c + 1j * params.kappa
-        self._c = _mass_weights(density, grid) / (1j * u)
-        self._csum = complex(self._c.sum())
-        self._wb = params.omega_bar
-        self._k = np.zeros(1, dtype=complex)  # K(0) = 0
-
-    def single(self, m: int) -> complex:
-        """Direct evaluation at lag index m (one sum over the nodes)."""
-        x = m * self.dt
-        val = self._c @ np.exp(-1j * self._nu * x) - self._csum * np.exp(-1j * self._wb * x)
-        return self._omega2 * complex(val)
+        self._c = _kernel_coefficients(params, density, grid)
 
     def values(self, n_lags: int) -> np.ndarray:
-        """K at lags 0 .. n_lags-1; an extension appends only the new lags."""
-        start = len(self._k)
-        if n_lags > start:
-            m = np.arange(start, n_lags)
-            ext = (_node_sum(self._c, self._grid, self._omega_p, self.dt, n_lags - start, start)
-                   - self._csum * np.exp(-1j * self._wb * self.dt * m))
-            self._k = np.concatenate([self._k, self._omega2 * ext])
-        return self._k[:n_lags]
+        """K at lags 0 .. n_lags-1: the sum from lag 1 on, after K(0) = 0."""
+        p = self._params
+        m = np.arange(1, n_lags)
+        k = (_node_sum(self._c, self._grid, p.omega_p, self.dt, n_lags - 1, 1)
+             - complex(self._c.sum()) * np.exp(-1j * p.omega_bar * self.dt * m))
+        return np.concatenate([np.zeros(1, dtype=complex), p.Omega**2 * k])
 
 
 def kernel_K(params: SystemParams, density: SpinDensity, lag,
              grid: FrequencyGrid | None = None):
-    """Memory kernel K(lag) by direct quadrature (scalar or array lag)."""
+    """Memory kernel K(lag) by direct sums over the nodes (scalar or array
+    lag), one lag at a time: the reference for the chirp-z table."""
     lag_arr = np.atleast_1d(np.asarray(lag, dtype=float))
     if grid is None:
         grid = grid_for_density(density, t_max=float(lag_arr.max()) or None)
-    m = _mass_weights(density, grid)
-    u = grid.omegas - params.omega_c + 1j * params.kappa
-    c = m / (1j * u)
+    c = _kernel_coefficients(params, density, grid)
     nu = grid.omegas - params.omega_p
     wb = params.omega_bar
     # Subtract the cavity phase inside the bracket so K(0) comes out as
     # an exact 0 instead of the difference of two large reductions.
-    bracket = (np.exp(-1j * np.outer(lag_arr, nu))
-               - np.exp(-1j * wb * lag_arr)[:, None])
-    out = params.Omega**2 * (bracket @ c)
-    if np.isscalar(lag) or np.asarray(lag).ndim == 0:
-        return complex(out[0])
-    return out
+    out = params.Omega**2 * np.array(
+        [(np.exp(-1j * nu * x) - np.exp(-1j * wb * x)) @ c for x in lag_arr])
+    return complex(out[0]) if np.ndim(lag) == 0 else out
 
 
 def _forcing(params: SystemParams, protocol: DriveProtocol, tgrid: TimeGrid,
@@ -258,8 +247,7 @@ def solve_direct(params: SystemParams, density: SpinDensity,
     forcing = _forcing(params, protocol, tgrid, a0)
     if grid is None:
         grid = grid_for_density(density, t_max=tgrid.t_end)
-    kernel = KernelCache(params, density, grid, tgrid.dt)
-    k = np.array([kernel.single(m) for m in range(tgrid.n_steps)])
+    k = kernel_K(params, density, tgrid.dt * np.arange(tgrid.n_steps), grid=grid)
     return ComplexSeries(grid=tgrid, values=_march_full(k, forcing, tgrid.dt))
 
 

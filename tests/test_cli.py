@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cavityspin.cli import main
@@ -149,6 +150,19 @@ def test_validate_passes(capsys):
     out = capsys.readouterr().out
     assert "checks passed" in out
     assert "FAIL" not in out
+    checks = out.splitlines()[:-1]
+    assert checks and all(line.endswith(" s)") for line in checks)
+
+
+def test_lorentz_analytic_at_zero_coupling(tmp_path):
+    # The spins decouple at Omega = 0: the run succeeds with J_x = 0.
+    example = next(p for p in EXAMPLES if p.stem == "lorentz_analytic")
+    base = tmp_path / "zero"
+    assert main(["lorentz-analytic", str(example), "system.coupling_mhz=0",
+                 "grid.dt_ns=0.5", f"output={base}"]) == 0
+    rows = np.loadtxt(f"{base}.csv", delimiter=",", skiprows=1)
+    assert rows.shape[0] > 1
+    assert np.all(rows[:, 2] == 0.0)
 
 
 def test_module_entry_point(small_config):

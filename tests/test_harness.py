@@ -546,6 +546,29 @@ class TestLorentzAnalytic:
         # The closed form has no out-of-phase spin quadrature on resonance.
         assert np.max(table.column("Jy2")) == 0.0
 
+    @pytest.mark.parametrize("duration", [20.0, 100.0])
+    def test_short_pulse_matches_solver(self, duration):
+        # An unsettled drive: the ring-down must start from the actual
+        # switch-off state. Same bound as criterion 3's closed-form check.
+        from cavityspin import LorentzianDensity, mhz_to_angular
+        from conftest import OMEGA_C, resonant_system
+
+        mapping = base_mapping(
+            scenario="lorentz-analytic",
+            grid={"dt_ns": 0.05, "t_end_ns": duration + 400.0},
+            drive={"kind": "rect", "duration_ns": duration},
+        )
+        mapping["density"] = {"kind": "lorentz", "fwhm_mhz": 9.196}
+        mapping["system"]["coupling_mhz"] = 9.786
+        table = run_scenario(ScenarioConfig.from_mapping(mapping))
+        t = table.column("t_ns")
+        params = resonant_system(9.786)
+        density = LorentzianDensity(OMEGA_C, mhz_to_angular(9.196) / 2.0)
+        numeric = volterra.solve(params, density, rect_pulse(params.kappa, duration),
+                                 TimeGrid(0.0, 0.05, len(t))).abs2()
+        err = np.abs(table.column("abs_A2") - numeric).max() / numeric.max()
+        assert err <= 1e-3
+
     @pytest.mark.parametrize("group, key, value", [
         ("system", "probe_ghz", CAVITY_GHZ + 0.01),
         ("system", "spin_ghz", CAVITY_GHZ + 0.01),
@@ -608,6 +631,7 @@ class TestDeterminism:
 class TestValidation:
     def test_all_checks_pass(self):
         results = run_validation()
-        failed = [(name, detail) for name, ok, detail in results if not ok]
+        failed = [(name, detail) for name, ok, detail, _ in results if not ok]
         assert failed == []
         assert len(results) >= 6
+        assert all(seconds >= 0.0 for *_, seconds in results)

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from cavityspin.lorentz import (
     overshoot_first_peak,
     overshoot_formula,
     overshoot_threshold,
+    pulse_response,
     rabi_frequency,
     spin_off,
     spin_on,
@@ -29,10 +31,25 @@ def make(omega=OMEGA, delta=DELTA, kappa=KAPPA, eta=KAPPA, tau_d=2000.0):
     return LorentzParams(Omega=omega, Delta=delta, kappa=kappa, eta=eta, tau_d=tau_d)
 
 
-def eval_modal(const, coeffs, roots, x):
-    c1, c2 = coeffs
-    l1, l2 = roots
-    return (const + c1 * np.exp(l1 * x) + c2 * np.exp(l2 * x)).real
+def trig_form(p, phase, t):
+    """The docstring formulas of the four public functions, with Omega_R
+    continued to i |Omega_R| when overdamped: an oracle for the two-mode
+    evaluator that shares none of its code."""
+    wr = cmath.sqrt(4.0 * p.Omega**2 - (p.Delta - p.kappa) ** 2)
+    denom = p.Omega**2 + p.Delta * p.kappa
+    x = t if phase.endswith("_on") else t - p.tau_d
+    damp = np.exp(-(p.Delta + p.kappa) * x / 2.0)
+    cos, sin = np.cos(wr * x / 2.0), np.sin(wr * x / 2.0)
+    cavity = 2.0 * wr * p.Delta * cos - (wr**2 - p.Delta**2 + p.kappa**2) * sin
+    spin = (p.Delta + p.kappa) * sin + wr * cos
+    val = {
+        "cavity_on": -p.Delta * p.eta / denom + p.eta * damp * cavity / (2.0 * wr * denom),
+        "spin_on": p.eta * p.Omega / (2.0 * denom)
+                   - p.eta * p.Omega * damp * spin / (2.0 * wr * denom),
+        "cavity_off": -p.eta * damp * cavity / (2.0 * wr * denom),
+        "spin_off": p.eta * p.Omega * damp * spin / (2.0 * wr * denom),
+    }[phase]
+    return val.real
 
 
 PHASES = {
@@ -44,8 +61,8 @@ PHASES = {
 
 
 class TestClosedFormsAgainstModal:
-    """The trig expressions and the two-exponential representation must be
-    the same function; this pins the half-angle and 1/2 factors."""
+    """The two-mode evaluator must be the function its docstring's trig
+    form describes; this pins the half-angle and 1/2 factors."""
 
     @pytest.mark.parametrize("phase", list(PHASES))
     @pytest.mark.parametrize("omega_mhz", [8.56, 12.0, 2.2, 1.5])
@@ -53,13 +70,23 @@ class TestClosedFormsAgainstModal:
         # 1.5 MHz is overdamped for Delta = 4.598 MHz: the forms must
         # continue analytically through Omega_R -> i |Omega_R|.
         p = make(omega=mhz_to_angular(omega_mhz))
-        const, coeffs, roots = modal_form(p, phase)
         x = np.linspace(0.0, 400.0, 2001)
         t = x if phase.endswith("_on") else p.tau_d + x
         got = PHASES[phase](p, t)
-        want = eval_modal(const, coeffs, roots, x)
+        want = trig_form(p, phase, t)
         scale = np.abs(want).max()
         assert np.abs(got - want).max() < 1e-12 * scale
+
+    def test_zero_coupling_spins_vanish(self):
+        # At Omega = 0 the spins decouple: J_x = 0 in both phases, and the
+        # spin modes have zero coefficients instead of a 1/Omega blow-up.
+        p = make(omega=0.0)
+        t = np.linspace(0.0, 600.0, 301)
+        assert np.all(spin_on(p, t) == 0.0)
+        assert np.all(spin_off(p, p.tau_d + t) == 0.0)
+        for phase in ("spin_on", "spin_off"):
+            const, coeffs, _ = modal_form(p, phase)
+            assert const == 0.0 and coeffs == (0.0, 0.0)
 
     def test_zero_coupling_drive_limit(self):
         # Omega = 0 must collapse to the bare driven cavity.
@@ -96,21 +123,25 @@ class TestOscillatorResiduals:
         ("cavity_off", "zero"), ("spin_off", "zero"),
     ])
     def test_residual(self, phase, rhs_key):
-        p = make()
-        s = p.Delta + p.kappa
-        pole = p.Omega**2 + p.Delta * p.kappa
-        const, (c1, c2), (l1, l2) = modal_form(p, phase)
-        x = np.linspace(0.0, 400.0, 801)
-        e1, e2 = np.exp(l1 * x), np.exp(l2 * x)
-        f = const + c1 * e1 + c2 * e2
-        df = c1 * l1 * e1 + c2 * l2 * e2
-        d2f = c1 * l1**2 * e1 + c2 * l2**2 * e2
-        rhs = {"drive": -p.eta * p.Delta,
-               "spin_drive": p.eta * p.Omega / 2.0,
-               "zero": 0.0}[rhs_key]
-        resid = d2f + s * df + pole * f - rhs
-        scale = max(np.abs(d2f).max(), pole * np.abs(f).max(), abs(rhs), 1e-300)
-        assert np.abs(resid).max() < 1e-8 * scale
+        # 1.5 MHz is overdamped for Delta = 4.598 MHz: the modes continue
+        # analytically through Omega_R -> i |Omega_R| and must still
+        # solve the oscillator equation.
+        for omega_mhz in (8.56, 12.0, 2.2, 1.5):
+            p = make(omega=mhz_to_angular(omega_mhz))
+            s = p.Delta + p.kappa
+            pole = p.Omega**2 + p.Delta * p.kappa
+            const, (c1, c2), (l1, l2) = modal_form(p, phase)
+            x = np.linspace(0.0, 400.0, 801)
+            e1, e2 = np.exp(l1 * x), np.exp(l2 * x)
+            f = const + c1 * e1 + c2 * e2
+            df = c1 * l1 * e1 + c2 * l2 * e2
+            d2f = c1 * l1**2 * e1 + c2 * l2**2 * e2
+            rhs = {"drive": -p.eta * p.Delta,
+                   "spin_drive": p.eta * p.Omega / 2.0,
+                   "zero": 0.0}[rhs_key]
+            resid = d2f + s * df + pole * f - rhs
+            scale = max(np.abs(d2f).max(), pole * np.abs(f).max(), abs(rhs), 1e-300)
+            assert np.abs(resid).max() < 1e-8 * scale, omega_mhz
 
     def test_switch_on_initial_conditions(self):
         p = make()
@@ -139,6 +170,37 @@ class TestContinuityAtSwitchOff:
         assert spin_on(p, p.tau_d) == pytest.approx(spin_off(p, p.tau_d), rel=1e-12)
         assert cavity_off(p, p.tau_d) == pytest.approx(a_st, rel=1e-12)
         assert spin_off(p, p.tau_d) == pytest.approx(j_st, rel=1e-12)
+
+
+class TestPulseResponse:
+    """`pulse_response` switches off from the actual drive-phase state."""
+
+    def test_settled_pulse_joins_steady_state_branches(self):
+        p = make(tau_d=2000.0)
+        t = np.linspace(0.0, 2600.0, 5201)
+        a, jx = pulse_response(p, t)
+        on, off = t <= p.tau_d, t > p.tau_d
+        np.testing.assert_array_equal(a[on], cavity_on(p, t[on]))
+        np.testing.assert_array_equal(jx[on], spin_on(p, t[on]))
+        scale = abs(steady_values(p)[0])
+        assert np.abs(a[off] - cavity_off(p, t[off])).max() < 1e-12 * scale
+        assert np.abs(jx[off] - spin_off(p, t[off])).max() < 1e-12 * scale
+
+    @pytest.mark.parametrize("omega_mhz", [8.56, 1.5])
+    def test_short_pulse_continuity_and_spin_identity(self, omega_mhz):
+        # 20 ns is far from settled: A and J_x must still be continuous at
+        # tau_d, and after it J_x = (A' + kappa A) / (2 Omega).
+        p = make(omega=mhz_to_angular(omega_mhz), tau_d=20.0)
+        h = 1e-3
+        a, jx = pulse_response(p, np.array([p.tau_d, p.tau_d + 1e-9]))
+        scale = abs(steady_values(p)[0])
+        assert abs(a[1] - a[0]) < 1e-9 * scale
+        assert abs(jx[1] - jx[0]) < 1e-9 * scale
+        t = p.tau_d + np.linspace(1.0, 300.0, 600)
+        a, jx = pulse_response(p, t)
+        da = (pulse_response(p, t + h)[0] - pulse_response(p, t - h)[0]) / (2.0 * h)
+        rhs = (da + p.kappa * a) / (2.0 * p.Omega)
+        assert np.abs(jx - rhs).max() < 1e-8 * np.abs(jx).max()
 
 
 class TestSpinCavityIdentity:
