@@ -15,10 +15,6 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# Default time step (ns). Small enough to resolve the fastest Rabi
-# dynamics the RWA bound on Omega allows.
-DEFAULT_DT = 0.05
-
 
 def mhz_to_angular(f_mhz: float) -> float:
     """Angular frequency (rad/ns) for a laboratory frequency in MHz."""
@@ -124,10 +120,6 @@ class DriveProtocol:
             if not d > 0:
                 raise ValueError(f"segment durations must be positive, got {d}")
         object.__setattr__(self, "segments", segs)
-
-    def pulse_energy(self) -> float:
-        """Time integral of |eta|^2 over the whole protocol."""
-        return float(sum(d * abs(e) ** 2 for d, e in self.segments))
 
 
 def rect_pulse(eta: complex, tau_d: float) -> DriveProtocol:

@@ -228,6 +228,8 @@ class DriveSpec:
 
 @dataclass(frozen=True)
 class GridSpec:
+    # Default time step (ns): small enough to resolve the fastest Rabi
+    # dynamics the RWA bound on Omega allows.
     dt_ns: float = 0.05
     t_end_ns: float | None = None
 
@@ -569,17 +571,17 @@ def _train_point(config, assignment, density=None):
 # --- gamma-sweep ---
 
 
-def _free_decay_rate(params, density, dt):
+def _free_decay_rate(params, density, dt, markov):
     """Timefit rate from the single-photon free decay.
 
     The trace is marched in the time domain (a(0) = 1, drive off); the
     time-domain march stays stable at every coupling, including near
     the coupling where the isolated resonances appear and the contour
     reconstruction needs a much finer cut grid than the default. The
-    window starts at the weak-coupling lifetime estimate and grows until
-    the intensity envelope has dropped three decades (the fit needs
-    dynamic range; protected strong-coupling decay is far slower than
-    the weak-coupling estimate suggests).
+    window starts at 5 / ``markov``, the golden-rule lifetime estimate,
+    and grows until the intensity envelope has dropped three decades
+    (the fit needs dynamic range; protected strong-coupling decay is far
+    slower than the weak-coupling estimate suggests).
 
     The envelope is read over the last tenth of the trace, reaching back
     to its last interior |A|^2 maximum: a trace that ends inside a node
@@ -587,7 +589,6 @@ def _free_decay_rate(params, density, dt):
     that has passed a node without any later peak has not shown its
     envelope yet, so it has not reached the floor.
     """
-    markov = laplace.gamma_markov(params, density).gamma
     t_max = max(5.0 / markov, 64 * dt)
     extensions = 0
     while True:
@@ -628,7 +629,7 @@ def _gamma_point(config, assignment):
     # first; the sweep column reports that one.
     lor = laplace.gamma_lorentz_formula(params.Omega, formula_delta, params.kappa)[0].gamma
     nob = laplace.gamma_no_broadening(params.Omega, params.kappa)[0].gamma
-    timefit, diag = _free_decay_rate(params, density, cfg.grid.dt_ns)
+    timefit, diag = _free_decay_rate(params, density, cfg.grid.dt_ns, markov)
     row = np.array([[
         cfg.system.coupling_mhz,
         angular_to_mhz(timefit),

@@ -321,7 +321,7 @@ def _cut_kernel(
     return rho / ((m + 1j * params.kappa) ** 2 + g**2)
 
 
-def kernel_U(params: SystemParams, density: SpinDensity, omega, grid=None):
+def kernel_U(params: SystemParams, density: SpinDensity, omega):
     """Magnitude of the branch-cut spectral weight at frequency omega.
 
     The modulus of the complex integrand used by invert(); its peaks mark
@@ -329,13 +329,12 @@ def kernel_U(params: SystemParams, density: SpinDensity, omega, grid=None):
     Omega -> 0, splitting into two polariton peaks near omega_c +- Omega
     at strong coupling, with peak positions satisfying
     omega_r - omega_c = Omega^2 * lamb_shift(omega_r). Any frequency is
-    allowed, so the shift is the per-point `spectral.lamb_shift`, where
-    invert() uses `spectral.lamb_shift_nodes`; both pin the grid's two
-    end nodes to 0.
+    allowed, so the shift is the per-point `spectral.lamb_shift` on the
+    density's default grid, where invert() uses `spectral.lamb_shift_nodes`
+    on its cut grid; both pin the grid's two end nodes to 0.
     """
     _require_resonant(params, density)
-    if grid is None:
-        grid = grid_for_density(density)
+    grid = grid_for_density(density)
     arr = np.atleast_1d(np.asarray(omega, dtype=float))
     # The shift's boundary log term diverges exactly at the truncation
     # edge; the spectral weight there is O(tail mass).
@@ -366,7 +365,6 @@ def invert(
     params: SystemParams,
     density: SpinDensity,
     tgrid: TimeGrid,
-    grid: FrequencyGrid | None = None,
     poles: list[PoleSolution] | None = None,
 ) -> ComplexSeries:
     """Free decay A(t) from one cavity photon, A(0) = 1, by pole + cut sum.
@@ -395,8 +393,7 @@ def invert(
     if params.Omega == 0.0:
         return ComplexSeries(grid=tgrid, values=np.exp(-params.kappa * times))
 
-    if grid is None:
-        grid = _cut_grid(params, density, tgrid.t_end)
+    grid = _cut_grid(params, density, tgrid.t_end)
     if poles is None:
         poles = find_poles(params, density)
 

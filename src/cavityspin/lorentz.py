@@ -6,12 +6,13 @@ exponential and the driven cavity reduces to a damped oscillator pair:
     A'' + (Delta + kappa) A' + (Omega^2 + Delta kappa) A + eta Delta = 0
 
 during the drive, and the same homogeneous equation after switch-off.
-Every signal is evaluated in one two-mode form, const + c1 e^{l1 x} +
-c2 e^{l2 x} (`modal_form`), which stays real through the overdamped
-regime; the docstrings give the equivalent textbook trig forms. The
-module also gives the exact first post-pulse extremum and the analytic
-overshoot estimate for comparison (the two disagree by a known
-prefactor; the exact extremum is the ground truth).
+Every signal is evaluated in one two-mode form, const + a e^{l2 x} +
+b (e^{l1 x} - e^{l2 x})/(l1 - l2), real through the overdamped regime
+and const + (a + b x) e^{l x} where the roots merge (critical damping);
+the docstrings give the equivalent textbook trig forms. The module also
+gives the exact first post-pulse extremum and the analytic overshoot
+estimate for comparison (the two disagree by a known prefactor; the
+exact extremum is the ground truth).
 
 All quantities are real at resonance; functions accept scalar or array
 times and return real values.
@@ -24,6 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+_THRESHOLD_TOL = 2.0 * math.pi * 1e-7  # rad/ns, i.e. 1e-4 * 2 pi MHz
 
 
 @dataclass(frozen=True)
@@ -71,23 +74,25 @@ def steady_values(p: LorentzParams) -> tuple[float, float]:
 
 
 def _coefficients(roots, offset, a0, d0):
-    """(c1, c2) with offset + c1 + c2 = a0 and l1 c1 + l2 c2 = d0."""
-    l1, l2 = roots
-    c1 = (d0 - l2 * (a0 - offset)) / (l1 - l2)
-    return c1, a0 - offset - c1
+    """(a, b) of `_evaluate` with offset + a = a0 and l2 a + b = d0."""
+    return a0 - offset, d0 - roots[1] * (a0 - offset)
 
 
 def _spin_modes(p: LorentzParams, coeffs, roots):
-    """Spin coefficients from cavity ones, J_x = (A' + kappa A + eta(t)) / (2 Omega);
-    the spins decouple (J_x = 0) at Omega = 0."""
+    """Spin coefficients J_x = (A' + kappa A + eta(t)) / (2 Omega), A' being
+    (l2 a + b, l1 b); the spins decouple (J_x = 0) at Omega = 0."""
     if p.Omega == 0:
         return 0.0, 0.0
-    return tuple((l + p.kappa) * c / (2 * p.Omega) for c, l in zip(coeffs, roots))
+    (a, b), (l1, l2) = coeffs, roots
+    return ((l2 + p.kappa) * a + b) / (2 * p.Omega), (l1 + p.kappa) * b / (2 * p.Omega)
 
 
 def _evaluate(form, x):
-    const, (c1, c2), (l1, l2) = form
-    out = (const + c1 * np.exp(l1 * x) + c2 * np.exp(l2 * x)).real
+    const, (a, b), (l1, l2) = form
+    e2 = np.exp(l2 * x)
+    # The divided difference tends to x e^{l x} as the roots merge.
+    dd = x * e2 if l1 == l2 else (np.exp(l1 * x) - e2) / (l1 - l2)
+    out = (const + a * e2 + b * dd).real
     return out if out.shape else float(out)
 
 
@@ -98,7 +103,7 @@ def cavity_on(p: LorentzParams, t):
            + eta e^{-(Delta+kappa) t/2} / (2 Omega_R (Omega^2 + Delta kappa))
              * [2 Omega_R Delta cos(Omega_R t/2) - (Omega_R^2 - Delta^2 + kappa^2) sin(Omega_R t/2)]
     """
-    return _evaluate(modal_form(p, "cavity_on"), np.asarray(t, dtype=float))
+    return _evaluate(_form(p, "cavity_on"), np.asarray(t, dtype=float))
 
 
 def spin_on(p: LorentzParams, t):
@@ -108,7 +113,7 @@ def spin_on(p: LorentzParams, t):
              - eta Omega e^{-(Delta+kappa) t/2} / (2 Omega_R (Omega^2 + Delta kappa))
                * [(Delta + kappa) sin(Omega_R t/2) + Omega_R cos(Omega_R t/2)]
     """
-    return _evaluate(modal_form(p, "spin_on"), np.asarray(t, dtype=float))
+    return _evaluate(_form(p, "spin_on"), np.asarray(t, dtype=float))
 
 
 def cavity_off(p: LorentzParams, t):
@@ -118,7 +123,7 @@ def cavity_off(p: LorentzParams, t):
            * [-2 Omega_R Delta cos(Omega_R (t-tau_d)/2)
               + (Omega_R^2 - Delta^2 + kappa^2) sin(Omega_R (t-tau_d)/2)]
     """
-    return _evaluate(modal_form(p, "cavity_off"), np.asarray(t, dtype=float) - p.tau_d)
+    return _evaluate(_form(p, "cavity_off"), np.asarray(t, dtype=float) - p.tau_d)
 
 
 def spin_off(p: LorentzParams, t):
@@ -127,7 +132,7 @@ def spin_off(p: LorentzParams, t):
     J_x(t) = eta Omega e^{-(Delta+kappa)(t-tau_d)/2} / (2 Omega_R (Omega^2 + Delta kappa))
              * [(Delta + kappa) sin(Omega_R (t-tau_d)/2) + Omega_R cos(Omega_R (t-tau_d)/2)]
     """
-    return _evaluate(modal_form(p, "spin_off"), np.asarray(t, dtype=float) - p.tau_d)
+    return _evaluate(_form(p, "spin_off"), np.asarray(t, dtype=float) - p.tau_d)
 
 
 def modal_form(p: LorentzParams, phase: str):
@@ -136,8 +141,16 @@ def modal_form(p: LorentzParams, phase: str):
     Returns (const, (c1, c2), (l1, l2)) such that the signal equals
     const + c1 e^{l1 x} + c2 e^{l2 x} with x measured from the phase
     start. Phases: "cavity_on", "spin_on", "cavity_off", "spin_off".
-    The spin coefficients are zero at Omega = 0.
+    The spin coefficients are zero at Omega = 0. At critical damping the
+    roots merge and no such form exists: ZeroDivisionError.
     """
+    const, (a, b), (l1, l2) = _form(p, phase)
+    c1 = b / (l1 - l2)
+    return const, (c1, a - c1), (l1, l2)
+
+
+def _form(p: LorentzParams, phase: str):
+    """(const, (a, b), (l1, l2)) of a phase, as `_evaluate` reads it."""
     if phase not in ("cavity_on", "spin_on", "cavity_off", "spin_off"):
         raise ValueError(f"unknown phase {phase!r}")
     roots = exponents(p)
@@ -161,13 +174,13 @@ def pulse_response(p: LorentzParams, t):
     A'(tau_d+) = A'_on(tau_d) + eta, as the drive leaves A'.
     """
     t = np.asarray(t, dtype=float)
-    const, coeffs, roots = on = modal_form(p, "cavity_on")
-    modes = [c * np.exp(l * p.tau_d) for c, l in zip(coeffs, roots)]
-    off = _coefficients(roots, 0.0, const + sum(modes),
-                        roots[0] * modes[0] + roots[1] * modes[1] + p.eta)
+    _, (c_a, c_b), roots = on = _form(p, "cavity_on")
+    slope = (0.0, (roots[1] * c_a + c_b, roots[0] * c_b), roots)  # A'_on
+    off = _coefficients(roots, 0.0, _evaluate(on, p.tau_d),
+                        _evaluate(slope, p.tau_d) + p.eta)
     x = np.maximum(t - p.tau_d, 0.0)  # the off form grows backwards in time
     a = np.where(t <= p.tau_d, _evaluate(on, t), _evaluate((0.0, off, roots), x))
-    jx = np.where(t <= p.tau_d, _evaluate(modal_form(p, "spin_on"), t),
+    jx = np.where(t <= p.tau_d, _evaluate(_form(p, "spin_on"), t),
                   _evaluate((0.0, _spin_modes(p, off, roots), roots), x))
     return a, jx
 
@@ -200,14 +213,13 @@ def overshoot_formula(p: LorentzParams) -> float:
     return a_st**2 * math.exp(-(2.0 * (p.Delta + p.kappa) / wr) * math.acos(arg))
 
 
-def overshoot_threshold(delta: float, kappa: float,
-                        tol: float = 2.0 * math.pi * 1e-7) -> float:
+def overshoot_threshold(delta: float, kappa: float) -> float:
     """Coupling at which the first post-pulse peak equals the steady state.
 
     Bisects Omega between the damping boundary |Delta-kappa|/2 (where the
     peak amplitude vanishes) and a strong-coupling upper end; requires
     Delta > kappa so switch-off dynamics actually decay faster than the
-    drive phase. Tolerance is in rad/ns (default 1e-4 * 2 pi MHz).
+    drive phase. Bisects to within _THRESHOLD_TOL.
     """
     if not delta > kappa:
         raise ValueError("threshold search assumes Delta > kappa")
@@ -224,7 +236,7 @@ def overshoot_threshold(delta: float, kappa: float,
         hi *= 2.0
         if hi > 1e3 * delta:
             raise RuntimeError("no overshoot found up to 1000x Delta")
-    while hi - lo > tol:
+    while hi - lo > _THRESHOLD_TOL:
         mid = 0.5 * (lo + hi)
         if excess(mid) > 0:
             hi = mid

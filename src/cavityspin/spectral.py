@@ -22,9 +22,14 @@ from functools import cache, cached_property
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
 # Support half-width of a Lorentzian line, in units of its delta.
 LORENTZ_HALF_WIDTH = 200.0
+# Analytic tail mass a q-Gaussian's support leaves out.
+QGAUSS_TAIL_MASS = 1e-6
+# Default frequency-grid spacing, in nodes per FWHM of the line.
+_POINTS_PER_FWHM = 200
+# Largest deviation from unit mass that `normalize` accepts.
+_NORM_TOL = 1e-8
 # Tolerance, in node spacings, below which a support edge past a node
 # is taken to sit on it (rounding of the half-width, not a real overhang).
 _GRID_SNAP = 1e-6
@@ -65,22 +70,19 @@ class QGaussianDensity:
     rho(omega) = C * [1 - (1-q) (omega-omega_s)^2 / delta^2]^(1/(1-q))
 
     For 1 < q < 3 the bracket is always positive, so the analytic form is
-    global; ``support`` only marks where quadrature happens. The default
-    support half-width is the smallest W whose analytic power-law tail
-    mass drops below ``tail_target``.
+    global; ``support`` only marks where quadrature happens. Its
+    half-width is the smallest W whose analytic power-law tail mass drops
+    below QGAUSS_TAIL_MASS.
     """
 
     omega_s: float
     q: float
     delta: float
-    tail_target: float = 1e-6
 
     def __post_init__(self):
         _check_q(self.q)
         if not self.delta > 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
-        if not 0 < self.tail_target < 1:
-            raise ValueError(f"tail_target must be in (0,1), got {self.tail_target}")
 
     # Constants are cached in the instance dict, not declared as fields,
     # so equality, hashing and dataclasses.fields see only the parameters.
@@ -102,7 +104,7 @@ class QGaussianDensity:
     @cached_property
     def half_width(self) -> float:
         p = 1.0 / (self.q - 1.0)
-        ratio = self._tail_amplitude / (self.tail_target * (2.0 * p - 1.0))
+        ratio = self._tail_amplitude / (QGAUSS_TAIL_MASS * (2.0 * p - 1.0))
         return ratio ** (1.0 / (2.0 * p - 1.0))
 
     @property
@@ -181,36 +183,11 @@ class LorentzianDensity:
 class DiracDeltaDensity:
     """Unbroadened ensemble: all spins exactly at omega_s.
 
-    Quadrature treats this as a single atom of weight one; pointwise pdf
-    evaluation is only meaningful away from the atom.
+    A single atom of weight one, with no pdf, width or support: every
+    consumer handles the atom before it would read those.
     """
 
     omega_s: float
-
-    @property
-    def norm_constant(self) -> float:
-        return 1.0
-
-    @property
-    def fwhm(self) -> float:
-        return 0.0
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.omega_s, self.omega_s)
-
-    def pdf(self, omega):
-        x = np.asarray(omega, dtype=float) - self.omega_s
-        val = np.where(x == 0.0, np.inf, 0.0)
-        return val if val.shape else float(val)
-
-    def pdf_derivative(self, omega):
-        x = np.asarray(omega, dtype=float) - self.omega_s
-        val = np.zeros_like(x)
-        return val if val.shape else float(val)
-
-    def tail_mass(self) -> float:
-        return 0.0
 
 
 SpinDensity = QGaussianDensity | LorentzianDensity | DiracDeltaDensity
@@ -242,14 +219,10 @@ class FrequencyGrid:
         return len(self.omegas)
 
 
-def grid_for_density(
-    density: SpinDensity,
-    t_max: float | None = None,
-    points_per_fwhm: int = 200,
-) -> FrequencyGrid:
+def grid_for_density(density: SpinDensity, t_max: float | None = None) -> FrequencyGrid:
     """Build the default quadrature grid for a density.
 
-    The spacing resolves the line shape (FWHM / points_per_fwhm) and, when
+    The spacing resolves the line shape (FWHM / _POINTS_PER_FWHM) and, when
     the target evolution time is known, keeps d_omega * t_max < pi/4 so
     the first aliasing image of any time-domain kernel sits far beyond
     the simulated window. The center frequency always lands on a node.
@@ -260,7 +233,7 @@ def grid_for_density(
             weights=np.array([1.0]),
             d_omega=1.0,
         )
-    d_omega = density.fwhm / points_per_fwhm
+    d_omega = density.fwhm / _POINTS_PER_FWHM
     if t_max is not None and t_max > 0:
         d_omega = min(d_omega, math.pi / (4.0 * t_max))
     return uniform_grid(density.omega_s, d_omega, density.support[1] - density.omega_s)
@@ -283,12 +256,12 @@ def uniform_grid(center: float, d_omega: float, half_width: float) -> FrequencyG
     return FrequencyGrid(omegas=omegas, weights=weights, d_omega=d_omega)
 
 
-def normalize(density: SpinDensity, tol: float = 1e-8) -> float:
+def normalize(density: SpinDensity) -> float:
     """Validate unit normalization and return the norm constant.
 
     The check integrates the pdf over the truncated support with adaptive
     quadrature and adds the analytic tail mass; the total must be 1 within
-    ``tol``. Truncation is a quadrature concern, not an evaluation concern,
+    _NORM_TOL. Truncation is a quadrature concern, not an evaluation concern,
     so the analytic constant is returned unchanged.
     """
     from scipy.integrate import quad
@@ -301,9 +274,9 @@ def normalize(density: SpinDensity, tol: float = 1e-8) -> float:
         epsabs=1e-12, epsrel=1e-11,
     )
     total = mass + density.tail_mass()
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > _NORM_TOL:
         raise ValueError(
-            f"density mass {total!r} deviates from 1 by more than {tol} "
+            f"density mass {total!r} deviates from 1 by more than {_NORM_TOL} "
             f"(support mass {mass!r}, analytic tail {density.tail_mass()!r})"
         )
     return density.norm_constant

@@ -299,8 +299,7 @@ def spin_mode_amplitude(params: SystemParams, omega_k: float, g_k: float,
 
 
 def steady_state(params: SystemParams, density: SpinDensity,
-                 eta: float | None = None,
-                 grid: FrequencyGrid | None = None) -> tuple[complex, complex]:
+                 eta: float | None = None) -> tuple[complex, complex]:
     """Driven steady state (A_st, J_x^st + i J_y^st) at exact resonance.
 
     A_st = eta / (-kappa + i Omega^2 [PV + i pi rho(omega_s)]), where the
@@ -315,10 +314,8 @@ def steady_state(params: SystemParams, density: SpinDensity,
         return (-eta / params.kappa, 0j)
     if isinstance(density, DiracDeltaDensity):
         raise ValueError("steady state needs a broadened density (or Omega = 0)")
-    if grid is None:
-        grid = grid_for_density(density)
     # PV int rho(omega)/(omega - omega_s) is minus the Lamb shift at omega_s.
-    pv = -lamb_shift(density, grid, density.omega_s)
+    pv = -lamb_shift(density, grid_for_density(density), density.omega_s)
     split = pv + 1j * math.pi * density.pdf(density.omega_s)
     a_st = eta / (-params.kappa + 1j * params.Omega**2 * split)
     j_st = (1j * a_st * params.Omega / 2.0) * split
@@ -326,8 +323,7 @@ def steady_state(params: SystemParams, density: SpinDensity,
 
 
 def decay_from_steady_state(params: SystemParams, density: SpinDensity,
-                            tgrid: TimeGrid, eta: float | None = None,
-                            grid: FrequencyGrid | None = None) -> ComplexSeries:
+                            tgrid: TimeGrid, eta: float | None = None) -> ComplexSeries:
     """Free decay after switching off a long resonant drive.
 
     Starts from the driven steady state with the ensemble polarized; the
@@ -344,13 +340,12 @@ def decay_from_steady_state(params: SystemParams, density: SpinDensity,
         raise ValueError("decay_from_steady_state is defined at resonance only")
     if eta is None:
         eta = params.kappa
-    a_st, _ = steady_state(params, density, eta=eta, grid=grid)
+    a_st, _ = steady_state(params, density, eta=eta)
     times = tgrid.times()
     kappa = params.kappa
     if params.Omega == 0.0:
         return ComplexSeries(grid=tgrid, values=a_st * np.exp(-kappa * times))
-    if grid is None:
-        grid = grid_for_density(density, t_max=tgrid.t_end)
+    grid = grid_for_density(density, t_max=tgrid.t_end)
 
     # sin(x t)/x = -Im e^{-i x t}/x as a chirp-z sum; the centre node
     # x = 0 contributes its limit t exactly.

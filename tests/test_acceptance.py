@@ -382,7 +382,7 @@ def test_criterion_10_property_suite(rabi_run):
     lin = (np.abs(two.values - 2.0 * one.values).max()
            / np.abs(two.values).max())
     # Normalization, symmetry, positivity of the line shape.
-    normalize(density, tol=1e-8)
+    normalize(density)
     grid = grid_for_density(density)
     x = grid.omegas - OMEGA_C
     rho = density.pdf(grid.omegas)

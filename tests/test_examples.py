@@ -48,6 +48,31 @@ def test_example_runs_through_cli(path, tmp_path, monkeypatch, capsys):
     assert manifest["n_rows"] == len(lines) - 1
 
 
+# Exit code of each scenario on the unbroadened (Dirac) line: the time
+# march runs on its one-atom grid, the decay-rate sweep's resolvent
+# estimators refuse it (no branch cut), and the Lorentzian-model
+# scenarios reject the density kind as a configuration error.
+DIRAC_EXIT = {
+    "long-pulse": 0,
+    "train-map": 0,
+    "max-scan": 0,
+    "gamma-sweep": 2,
+    "train-compare": 1,
+    "lorentz-analytic": 1,
+}
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)
+def test_example_on_the_dirac_line(path, tmp_path, monkeypatch):
+    monkeypatch.setenv(harness.WORKER_ENV, "1")
+    scenario = json.loads(path.read_text())["scenario"]
+    base = tmp_path / path.stem
+    code = main([scenario, str(path), "density.kind=delta", "grid.dt_ns=0.5",
+                 f"output={base}"])
+    assert code == DIRAC_EXIT[scenario]
+    assert Path(f"{base}.csv").exists() == (code == 0)
+
+
 SCHEMA = json.loads((DOCS / "config_schema.json").read_text())
 GROUPS = {
     "system": harness.SystemSpec,

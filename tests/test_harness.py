@@ -546,8 +546,13 @@ class TestLorentzAnalytic:
         # The closed form has no out-of-phase spin quadrature on resonance.
         assert np.max(table.column("Jy2")) == 0.0
 
-    @pytest.mark.parametrize("duration", [20.0, 100.0])
-    def test_short_pulse_matches_solver(self, duration):
+    @pytest.mark.parametrize("duration, coupling", [
+        pytest.param(20.0, 9.786, id="20.0"),
+        pytest.param(100.0, 9.786, id="100.0"),
+        # 4 Omega^2 = (Delta - kappa)^2 exactly: the two roots merge.
+        pytest.param(20.0, 1.899, id="20.0-critical"),
+    ])
+    def test_short_pulse_matches_solver(self, duration, coupling):
         # An unsettled drive: the ring-down must start from the actual
         # switch-off state. Same bound as criterion 3's closed-form check.
         from cavityspin import LorentzianDensity, mhz_to_angular
@@ -559,10 +564,10 @@ class TestLorentzAnalytic:
             drive={"kind": "rect", "duration_ns": duration},
         )
         mapping["density"] = {"kind": "lorentz", "fwhm_mhz": 9.196}
-        mapping["system"]["coupling_mhz"] = 9.786
+        mapping["system"]["coupling_mhz"] = coupling
         table = run_scenario(ScenarioConfig.from_mapping(mapping))
         t = table.column("t_ns")
-        params = resonant_system(9.786)
+        params = resonant_system(coupling)
         density = LorentzianDensity(OMEGA_C, mhz_to_angular(9.196) / 2.0)
         numeric = volterra.solve(params, density, rect_pulse(params.kappa, duration),
                                  TimeGrid(0.0, 0.05, len(t))).abs2()

@@ -178,7 +178,7 @@ class TestKernelU:
         grid = grid_for_density(ensemble)
         win = np.abs(grid.omegas - OMEGA_C) < 2.0 * p.Omega
         om = grid.omegas[win]
-        u = laplace.kernel_U(p, ensemble, om, grid=grid)
+        u = laplace.kernel_U(p, ensemble, om)
         interior = (u[1:-1] > u[:-2]) & (u[1:-1] >= u[2:])
         idx = np.nonzero(interior)[0] + 1
         idx = idx[u[idx] > 0.1 * u.max()]
@@ -191,10 +191,9 @@ class TestKernelU:
 
     def test_scalar_matches_array(self, ensemble):
         p = resonant_system(8.56)
-        grid = grid_for_density(ensemble)
         w = OMEGA_C + 0.3 * p.Omega
-        scalar = laplace.kernel_U(p, ensemble, w, grid=grid)
-        arr = laplace.kernel_U(p, ensemble, np.array([w]), grid=grid)
+        scalar = laplace.kernel_U(p, ensemble, w)
+        arr = laplace.kernel_U(p, ensemble, np.array([w]))
         assert scalar == arr[0]
         assert isinstance(scalar, float)
 
@@ -243,7 +242,7 @@ class TestSumRuleAndReading:
         m = om - OMEGA_C - p.Omega**2 * delta
         g = math.pi * p.Omega**2 * rho
         expected = np.abs(rho / ((m + 1j * KAPPA) ** 2 + g**2))
-        got = laplace.kernel_U(p, self.ensemble, om, grid=grid)
+        got = laplace.kernel_U(p, self.ensemble, om)
         np.testing.assert_allclose(got, expected, rtol=1e-12)
 
 

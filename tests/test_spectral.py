@@ -19,7 +19,7 @@ from cavityspin import (
     normalize,
 )
 from cavityspin import laplace
-from cavityspin.spectral import _fast_len, lamb_shift_nodes, qgauss_norm
+from cavityspin.spectral import _fast_len, lamb_shift_nodes, qgauss_norm, uniform_grid
 from conftest import FWHM, OMEGA_C, Q_SHAPE, resonant_system
 
 
@@ -122,7 +122,7 @@ class TestNormalization:
         grid = grid_for_density(qg)
         mass = qg.pdf(grid.omegas) @ grid.weights
         # Trapezoid error on this grid is O(d_omega^2) ~ 5e-6; the missing
-        # tail is the configured 1e-6.
+        # tail is QGAUSS_TAIL_MASS = 1e-6.
         assert abs(mass - (1.0 - qg.tail_mass())) < 2e-5
 
 
@@ -186,7 +186,7 @@ class TestLambShift:
         # (omega - omega_s) / ((omega - omega_s)^2 + delta^2).
         delta = mhz_to_angular(4.6)
         lor = LorentzianDensity(omega_s=OMEGA_C, delta=delta)
-        grid = grid_for_density(lor, points_per_fwhm=2000)
+        grid = uniform_grid(OMEGA_C, lor.fwhm / 2000, lor.half_width)
         w = OMEGA_C + delta
         expected = delta / (delta**2 + delta**2)
         assert lamb_shift(lor, grid, w) == pytest.approx(expected, rel=1e-6)
