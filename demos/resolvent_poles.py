@@ -16,9 +16,8 @@ response on the first sheet. Three bands appear:
     the protected regime.
 
 Also cross-checks the pole-plus-cut reconstruction of the free decay
-against the time-domain solver at the working coupling. Runs in about
-half a minute (root searches dominate). Saves resolvent_poles.png when
-matplotlib is importable.
+against the time-domain solver at the working coupling. Runs in under a
+second. Saves resolvent_poles.png when matplotlib is importable.
 """
 
 import numpy as np

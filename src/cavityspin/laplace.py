@@ -28,13 +28,16 @@ than exp(2*sigma*t) at every time (cross-checked against the time-domain
 solver out to eleven decades of intensity). Fit the reconstructed trace
 with decay_rate_timefit instead of quoting 2*|sigma|.
 
-Only the pole search and the pole weights need adaptive quadrature;
-`_pole_map` and `residue_weight` import scipy.integrate when called, so
-importing this module (as every time-domain run does) loads numpy only.
+Every integral here is a node sum on a uniform density grid, so the
+module, the pole search included, needs numpy only. Near the cut the pole
+integrands carry a spike far narrower than a node spacing; the pole code
+subtracts the density's Taylor quadratic at the spike, sums the smooth
+remainder over the nodes and integrates the quadratic in closed form.
 """
 
 from __future__ import annotations
 
+import cmath
 import logging
 import math
 import warnings
@@ -42,7 +45,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ComplexSeries, SystemParams, TimeGrid
+from .core import ComplexSeries, SystemParams, TimeGrid, angular_to_mhz
 from .spectral import (
     DiracDeltaDensity,
     FrequencyGrid,
@@ -75,6 +78,8 @@ _SIGMA_FLOOR = 1e-6
 _PEAK_FLOOR = 1e-12
 _PEAK_DECADES = 1e-3
 _FIT_WINDOW = (1e-6, 1e-1)
+# Largest |A(0) - 1| that invert accepts silently from its own poles.
+_CLOSURE_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -139,38 +144,61 @@ def _require_resonant(params: SystemParams, density: SpinDensity) -> None:
 # poles
 
 
-def _quad_points(center: float, width: float, lo: float, hi: float) -> list[float]:
-    # Hints for scipy.quad: the integrand has a Lorentzian spike of
-    # half-width |sigma| at omega = -omega_j which adaptive subdivision
-    # finds much faster when told where to look.
-    pts = [center + f * width for f in (-50.0, -5.0, 0.0, 5.0, 50.0)]
-    return [p for p in pts if lo < p < hi]
+def _taylor_remainder(
+    density: SpinDensity, grid: FrequencyGrid, rho: np.ndarray, w0: float
+) -> tuple[np.ndarray, np.ndarray, tuple[float, float, float] | None]:
+    """Offsets x = omega_i - w0 and rho minus its Taylor quadratic at w0.
+
+    Returns (x, rem, (r0, r1, r2)) with rem = rho - r0 - r1 x - r2 x^2.
+    The pole integrands carry a spike of width |sigma| at x = 0, far
+    narrower than a node spacing near the cut; the node sum then sees only
+    the smooth O(x^3) remainder and the quadratic integrates in closed
+    form. r2 is a central difference of pdf_derivative over one spacing:
+    its error cancels between the sum and the closed form, so it only
+    sets how smooth the remainder is. A node within 1e-6 spacings of w0
+    gets its exact remainder 0, as in `lamb_shift`. Outside the grid
+    there is no spike to subtract: rem is rho and the Taylor part None.
+    """
+    x = grid.omegas - w0
+    if not grid.omegas[0] < w0 < grid.omegas[-1]:
+        return x, rho, None
+    h = grid.d_omega
+    r0 = density.pdf(w0)
+    r1 = density.pdf_derivative(w0)
+    r2 = 0.5 * (density.pdf_derivative(w0 + 0.5 * h)
+                - density.pdf_derivative(w0 - 0.5 * h)) / h
+    rem = rho - r0 - x * (r1 + r2 * x)
+    rem[np.abs(x) < 1e-6 * h] = 0.0
+    return x, rem, (r0, r1, r2)
 
 
 def _pole_map(
-    params: SystemParams, density: SpinDensity, sigma: float, omega_j: float
+    params: SystemParams,
+    density: SpinDensity,
+    sigma: float,
+    omega_j: float,
+    grid: FrequencyGrid,
+    rho: np.ndarray,
 ) -> tuple[float, float]:
-    """One application of the coupled fixed-point equations."""
-    from scipy.integrate import IntegrationWarning, quad
+    """One application of the coupled fixed-point equations.
 
-    lo, hi = density.support
+    i2 = Integral rho / (sigma^2 + x^2) and i1 = Integral rho x /
+    (sigma^2 + x^2), x = omega + omega_j, over the grid's span: a node sum
+    of the Taylor remainder plus the quadratic's exact moments.
+    """
+    x, rem, taylor = _taylor_remainder(density, grid, rho, -omega_j)
     s2 = sigma * sigma
-    pts = _quad_points(-omega_j, abs(sigma), lo, hi)
-    kwargs = dict(points=pts or None, limit=300, epsabs=1e-12, epsrel=1e-10)
-
-    def den(w: float) -> float:
-        x = omega_j + w
-        return s2 + x * x
-
-    # quad grumbles about the needle spike while an iterate is collapsing
-    # onto the cut; accepted poles are re-verified through their stored
-    # residual, so the internal error estimate is not the arbiter here.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        i2 = quad(lambda w: density.pdf(w) / den(w), lo, hi, **kwargs)[0]
-        i1 = quad(
-            lambda w: density.pdf(w) * (omega_j + w) / den(w), lo, hi, **kwargs
-        )[0]
+    den = s2 + x * x
+    i2 = grid.weights @ (rem / den)
+    i1 = grid.weights @ (rem * x / den)
+    if taylor is not None:
+        r0, r1, r2 = taylor
+        a, b, s = x[0], x[-1], abs(sigma)
+        arc = math.atan(b / s) - math.atan(a / s)
+        lg = 0.5 * math.log((s2 + b * b) / (s2 + a * a))
+        m2 = (b - a) - s * arc  # Integral x^2 / (sigma^2 + x^2)
+        i2 += r0 * arc / s + r1 * lg + r2 * m2
+        i1 += r0 * lg + r1 * m2 + r2 * (0.5 * (b - a) * (b + a) - s2 * lg)
     om2 = params.Omega**2
     sigma_next = -params.kappa / (1.0 + om2 * i2)
     omega_next = -params.omega_c + om2 * i1
@@ -178,7 +206,12 @@ def _pole_map(
 
 
 def _solve_pole(
-    params: SystemParams, density: SpinDensity, sigma0: float, omega0: float
+    params: SystemParams,
+    density: SpinDensity,
+    sigma0: float,
+    omega0: float,
+    grid: FrequencyGrid,
+    rho: np.ndarray,
 ) -> tuple[float, float, float] | None:
     """Damped fixed-point iteration from one starting guess.
 
@@ -190,13 +223,12 @@ def _solve_pole(
     shrink = 0
     for _ in range(_MAX_ITER):
         if abs(sigma) < 1e-8 * params.kappa:
-            # Collapsed onto the cut: no genuine root on this branch, and
-            # letting sigma shrink further starves the quadrature spike.
+            # Collapsed onto the cut: no genuine root on this branch.
             return None
-        sigma_next, omega_next = _pole_map(params, density, sigma, omega_j)
+        sigma_next, omega_next = _pole_map(params, density, sigma, omega_j, grid, rho)
         # Near a true root sigma_next/sigma -> 1; a run of order-of-
         # magnitude drops means the iterate is racing toward the cut, so
-        # stop paying for needle quadratures and call it rootless.
+        # stop iterating and call it rootless.
         if abs(sigma_next) < 0.1 * abs(sigma) and abs(sigma_next) < 0.01 * params.kappa:
             shrink += 1
             if shrink >= 3:
@@ -223,9 +255,12 @@ def find_poles(params: SystemParams, density: SpinDensity) -> list[PoleSolution]
     (-kappa, -omega_c) and, for Omega > 0, one near each polariton at
     (-kappa/10, -omega_c -+ Omega). Converged duplicates are merged and
     near-axis artifacts discarded, so the returned list has zero, one or
-    two entries depending on the coupling regime.
+    two entries depending on the coupling regime. Every integral is a
+    node sum on `grid_for_density(density)`, whose pdf is sampled once.
     """
     _require_resonant(params, density)
+    grid = grid_for_density(density)
+    rho = density.pdf(grid.omegas)
     starts = [(-params.kappa, -params.omega_c)]
     if params.Omega > 0:
         starts.append((-params.kappa / 10.0, -params.omega_c + params.Omega))
@@ -233,7 +268,7 @@ def find_poles(params: SystemParams, density: SpinDensity) -> list[PoleSolution]
 
     poles: list[PoleSolution] = []
     for sigma0, omega0 in starts:
-        got = _solve_pole(params, density, sigma0, omega0)
+        got = _solve_pole(params, density, sigma0, omega0, grid, rho)
         if got is None:
             log.debug(
                 "pole search from (%.3g, %.3g) did not converge", sigma0, omega0
@@ -249,7 +284,7 @@ def find_poles(params: SystemParams, density: SpinDensity) -> list[PoleSolution]
             for p in poles
         ):
             continue
-        weight = residue_weight(params, density, sigma, omega_j)
+        weight = _residue(params, density, sigma, omega_j, grid, rho)
         poles.append(
             PoleSolution(sigma=sigma, omega=omega_j, residue=weight, residual=resid)
         )
@@ -262,38 +297,44 @@ def residue_weight(
 ) -> complex:
     """Pole weight 1/D'(s) at s = sigma + i*omega_j.
 
-    D'(s) = 1 - Omega^2 * Integral rho(omega) / (s + i*omega)^2 d omega.
-    A denominator within 1e-12 of zero means a degenerate (merging) pole
-    where the isolated-pole expansion breaks down; that raises.
+    D'(s) = 1 - Omega^2 * Integral rho(omega) / (s + i*omega)^2 d omega,
+    a node sum on `grid_for_density(density)`. A denominator within 1e-12
+    of zero means a degenerate (merging) pole where the isolated-pole
+    expansion breaks down; that raises.
     """
-    from scipy.integrate import IntegrationWarning, quad
+    grid = grid_for_density(density)
+    return _residue(params, density, sigma, omega_j, grid, density.pdf(grid.omegas))
 
-    lo, hi = density.support
-    s2 = sigma * sigma
-    pts = _quad_points(-omega_j, abs(sigma), lo, hi)
-    kwargs = dict(points=pts or None, limit=300, epsabs=1e-12, epsrel=1e-10)
 
-    # 1/(sigma + i x)^2 = (sigma^2 - x^2 - 2 i sigma x) / (sigma^2 + x^2)^2
-    def j1(w: float) -> float:
-        x = omega_j + w
-        d = s2 + x * x
-        return density.pdf(w) * (s2 - x * x) / (d * d)
-
-    def j2(w: float) -> float:
-        x = omega_j + w
-        d = s2 + x * x
-        return density.pdf(w) * x / (d * d)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        v1 = quad(j1, lo, hi, **kwargs)[0]
-        v2 = quad(j2, lo, hi, **kwargs)[0]
-    dprime = 1.0 - params.Omega**2 * complex(v1, -2.0 * sigma * v2)
+def _residue(
+    params: SystemParams,
+    density: SpinDensity,
+    sigma: float,
+    omega_j: float,
+    grid: FrequencyGrid,
+    rho: np.ndarray,
+) -> complex:
+    # J = Integral rho / z^2 with z = sigma + i x: the node sum of the
+    # Taylor remainder plus the exact moments I_k of x^k / z^2, from
+    # I0 = i [1/z] and L = Integral 1/z = -i [log(-z)]. The log is of
+    # -z, whose real part -sigma > 0, so it never meets the branch cut.
+    x, rem, taylor = _taylor_remainder(density, grid, rho, -omega_j)
+    z = sigma + 1j * x
+    j = grid.weights @ (rem / (z * z))
+    if taylor is not None:
+        r0, r1, r2 = taylor
+        a, b = x[0], x[-1]
+        za, zb = complex(sigma, a), complex(sigma, b)
+        i0 = 1j * (1.0 / zb - 1.0 / za)
+        i1 = -(cmath.log(-zb) - cmath.log(-za)) + 1j * sigma * i0
+        i2 = sigma * sigma * i0 + 2j * sigma * i1 - (b - a)
+        j += r0 * i0 + r1 * i1 + r2 * i2
+    dprime = 1.0 - params.Omega**2 * j
     if abs(dprime) < 1e-12:
         raise ValueError(
             f"degenerate pole at ({sigma:g}, {omega_j:g}): |D'| = {abs(dprime):g}"
         )
-    return 1.0 / dprime
+    return complex(1.0 / dprime)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +425,11 @@ def invert(
     that collapses to zero at the bifurcation. The default cut grid cannot
     resolve it, and the reconstructed tail grows instead of decaying.
     Cross-check against the time-domain solver when working within a few
-    percent of that coupling.
+    percent of that coupling. The pole search also misses the pair just
+    past its birth (about 19.5-20 MHz for the canonical ensemble). When
+    invert finds its own poles and the t = 0 sum rule misses by more
+    than _CLOSURE_TOL, it emits a RuntimeWarning with the coupling and
+    the closure.
     """
     _require_resonant(params, density)
     if tgrid.t_start != 0.0:
@@ -394,7 +439,8 @@ def invert(
         return ComplexSeries(grid=tgrid, values=np.exp(-params.kappa * times))
 
     grid = _cut_grid(params, density, tgrid.t_end)
-    if poles is None:
+    own_poles = poles is None
+    if own_poles:
         poles = find_poles(params, density)
 
     u = _cut_kernel(params, density, grid.omegas, lamb_shift_nodes(density, grid))
@@ -402,6 +448,15 @@ def invert(
                      tgrid.dt, len(times))
     for p in poles:
         vals += p.residue * np.exp((p.sigma + 1j * (p.omega + params.omega_p)) * times)
+    closure = abs(vals[0] - 1.0)
+    if own_poles and closure > _CLOSURE_TOL:
+        warnings.warn(
+            f"pole + cut sum misses the t = 0 closure at coupling "
+            f"{angular_to_mhz(params.Omega):.6g} MHz: |A(0) - 1| = {closure:.3g} "
+            f"with {len(poles)} pole(s); cross-check against volterra.solve",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return ComplexSeries(grid=tgrid, values=vals)
 
 

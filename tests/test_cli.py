@@ -203,6 +203,20 @@ weight = laplace.residue_weight(params, rho, -params.kappa, -w)
 print(json.dumps([norm, abs(weight), "scipy.integrate" in sys.modules]))
 """
 
+_CALL_RESOLVENT = """
+import json, sys
+from cavityspin import QGaussianDensity, SystemParams, TimeGrid, laplace
+from cavityspin import delta_from_fwhm, ghz_to_angular, mhz_to_angular
+w = ghz_to_angular(2.6915)
+rho = QGaussianDensity(w, 1.39, delta_from_fwhm(1.39, mhz_to_angular(9.4)))
+params = SystemParams(w, w, w, kappa=mhz_to_angular(0.8), Omega=mhz_to_angular(1.3))
+poles = laplace.find_poles(params, rho)
+weight = laplace.residue_weight(params, rho, poles[0].sigma, poles[0].omega)
+a0 = laplace.invert(params, rho, TimeGrid(0.0, 0.05, 2)).values[0]
+loaded = [m for m in json.loads(sys.argv[1]) if m in sys.modules]
+print(json.dumps([len(poles), abs(weight), abs(a0), loaded]))
+"""
+
 
 def _fresh_python(script, *args):
     env = {**os.environ, WORKER_ENV: "1"}
@@ -221,6 +235,15 @@ def test_import_leaves_scipy_signal_out(tmp_path):
     assert loaded == []
     for path in EXAMPLES:
         assert (tmp_path / f"{path.stem}.csv").exists()
+
+
+def test_resolvent_api_leaves_scipy_integrate_out():
+    # The pole search and pole weights are node sums on the density grid.
+    n_poles, weight, a0, loaded = _fresh_python(_CALL_RESOLVENT,
+                                                json.dumps(_SCIPY_SUBMODULES))
+    assert n_poles == 1 and weight > 0
+    assert abs(a0 - 1.0) < 1e-3
+    assert loaded == []
 
 
 def test_quadrature_imports_scipy_when_called():

@@ -7,14 +7,20 @@ sweep parameters, group keys and defaults.
 
 import dataclasses
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cavityspin
 from cavityspin import harness
 from cavityspin.cli import main
 
-DOCS = Path(__file__).resolve().parent.parent / "docs"
+ROOT = Path(__file__).resolve().parent.parent
+DOCS = ROOT / "docs"
 EXAMPLES = sorted((DOCS / "examples").glob("*.json"))
 
 COLUMNS = {
@@ -71,6 +77,18 @@ def test_example_on_the_dirac_line(path, tmp_path, monkeypatch):
                  f"output={base}"])
     assert code == DIRAC_EXIT[scenario]
     assert Path(f"{base}.csv").exists() == (code == 0)
+
+
+def test_resolvent_poles_demo_runs(tmp_path):
+    # The pole census over nine couplings and the 8.56 MHz reconstruction.
+    src = str(Path(cavityspin.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "resolvent_poles.py")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    err = re.search(r"at 8\.56 MHz: L-inf relative error (\S+)", proc.stdout)
+    assert err and float(err.group(1)) < 1e-3, proc.stdout
 
 
 SCHEMA = json.loads((DOCS / "config_schema.json").read_text())

@@ -2,15 +2,17 @@
 
 The closed-form free decay for a Lorentzian line is re-derived locally and
 used as an oracle; pole locations are re-verified with an independent
-quadrature of the fixed-point equations written in this file.
+quadrature of the fixed-point equations written in this file. The same
+adaptive-quadrature oracles check the node-sum pole map and pole weights.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from cavityspin import (
     ComplexSeries,
@@ -69,6 +71,57 @@ def fixed_point_residual(params, density, pole):
         abs(sig_fix - pole.sigma) / params.kappa,
         abs(om_fix - pole.omega) / max(params.omega_c, 1.0),
     )
+
+
+def _quad_kwargs(density, sigma, omega_j):
+    # The integrands carry a spike of half-width |sigma| at -omega_j;
+    # adaptive subdivision finds it when told where to look.
+    lo, hi = density.support
+    pts = [-omega_j + f * abs(sigma) for f in (-50.0, -5.0, 0.0, 5.0, 50.0)]
+    pts = [p for p in pts if lo < p < hi]
+    return dict(points=pts or None, limit=500, epsabs=1e-13, epsrel=1e-12)
+
+
+def quad_pole_map(params, density, sigma, omega_j):
+    """The two fixed-point updates by adaptive quadrature over the support."""
+    lo, hi = density.support
+    s2 = sigma**2
+    kw = _quad_kwargs(density, sigma, omega_j)
+
+    def den(w):
+        x = omega_j + w
+        return s2 + x * x
+
+    with warnings.catch_warnings():
+        # quad reports round-off once the spike is far below its scale.
+        warnings.simplefilter("ignore", IntegrationWarning)
+        i2 = quad(lambda w: density.pdf(w) / den(w), lo, hi, **kw)[0]
+        i1 = quad(lambda w: density.pdf(w) * (omega_j + w) / den(w), lo, hi, **kw)[0]
+    om2 = params.Omega**2
+    return -params.kappa / (1.0 + om2 * i2), -params.omega_c + om2 * i1
+
+
+def quad_residue(params, density, sigma, omega_j):
+    """1/D'(s) with D' = 1 - Omega^2 Integral rho / (sigma + i x)^2."""
+    lo, hi = density.support
+    s2 = sigma**2
+    kw = _quad_kwargs(density, sigma, omega_j)
+
+    # 1/(sigma + i x)^2 = (sigma^2 - x^2 - 2 i sigma x) / (sigma^2 + x^2)^2
+    def j1(w):
+        x = omega_j + w
+        return density.pdf(w) * (s2 - x * x) / (s2 + x * x) ** 2
+
+    def j2(w):
+        x = omega_j + w
+        return density.pdf(w) * x / (s2 + x * x) ** 2
+
+    with warnings.catch_warnings():
+        # j2 is odd about a pole on the line centre and integrates to ~0.
+        warnings.simplefilter("ignore", IntegrationWarning)
+        v1 = quad(j1, lo, hi, **kw)[0]
+        v2 = quad(j2, lo, hi, **kw)[0]
+    return 1.0 / (1.0 - params.Omega**2 * complex(v1, -2.0 * sigma * v2))
 
 
 class TestPoleRegimes:
@@ -145,6 +198,45 @@ class TestPoleRegimes:
             laplace.find_poles(detuned, ensemble)
         with pytest.raises(ValueError, match="delta density"):
             laplace.find_poles(resonant_system(8.56), DiracDeltaDensity(OMEGA_C))
+
+
+class TestNodeSumsAgainstQuad:
+    """The quadrature-free pole map and pole weights against quad."""
+
+    SIGMAS = (-1e-2, -1e-3, -3e-4, -1e-4, -1e-5, -1e-6)
+
+    @pytest.mark.parametrize("kind", ["qgauss", "lorentz"])
+    @pytest.mark.parametrize("omega_mhz", [1.3, 20.0])
+    def test_pole_map_matches_quadrature(self, ensemble, kind, omega_mhz):
+        density = ensemble if kind == "qgauss" else LorentzianDensity(
+            omega_s=OMEGA_C, delta=mhz_to_angular(4.598))
+        grid = grid_for_density(density)
+        assert grid.n == (8015 if kind == "qgauss" else 40001)
+        rho = density.pdf(grid.omegas)
+        p = resonant_system(omega_mhz)
+        # Spike at the centre node, between two nodes, and at +-Omega.
+        centres = (OMEGA_C, OMEGA_C + 0.37 * grid.d_omega,
+                   OMEGA_C + p.Omega, OMEGA_C - p.Omega)
+        worst = 0.0
+        for sigma in self.SIGMAS:
+            for w0 in centres:
+                got = laplace._pole_map(p, density, sigma, -w0, grid, rho)
+                ref = quad_pole_map(p, density, sigma, -w0)
+                worst = max(worst, abs(got[0] - ref[0]) / p.kappa,
+                            abs(got[1] - ref[1]) / max(p.omega_c, 1.0))
+        assert worst < 1e-9
+
+    @pytest.mark.parametrize("omega_mhz, n_poles",
+                             [(1.0, 1), (1.3, 1), (1.6, 1), (25.0, 2)])
+    def test_residue_weight_matches_quadrature(self, ensemble, omega_mhz, n_poles):
+        p = resonant_system(omega_mhz)
+        poles = laplace.find_poles(p, ensemble)
+        assert len(poles) == n_poles
+        for pole in poles:
+            got = laplace.residue_weight(p, ensemble, pole.sigma, pole.omega)
+            assert got == pole.residue
+            ref = quad_residue(p, ensemble, pole.sigma, pole.omega)
+            assert abs(got - ref) < 1e-9 * abs(ref)
 
 
 class TestTypes:
@@ -297,6 +389,19 @@ class TestInvert:
         dense = np.exp(-1j * np.outer(tgrid.times(), grid.omegas - p.omega_p)) @ wu
         got = laplace.invert(p, ensemble, tgrid, poles=[]).values
         assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    def test_closure_miss_warns_only_with_own_poles(self, ensemble):
+        # Just past the pair's birth the pole search returns no pole, and
+        # the t = 0 sum rule misses by 0.96: invert says so.
+        tgrid = TimeGrid(t_start=0.0, dt=DT, n_steps=2)
+        with pytest.warns(RuntimeWarning, match=r"coupling 20 MHz: \|A\(0\) - 1\| = 0\.96"):
+            laplace.invert(resonant_system(20.0), ensemble, tgrid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for omega_mhz in (8.56, 25.0):
+                laplace.invert(resonant_system(omega_mhz), ensemble, tgrid)
+            # Poles left out on purpose: the caller owns the closure.
+            laplace.invert(resonant_system(25.0), ensemble, tgrid, poles=[])
 
     def test_free_decay_must_start_at_zero(self, ensemble):
         p = resonant_system(8.56)
