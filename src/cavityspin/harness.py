@@ -27,7 +27,6 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
-import scipy
 
 from . import __version__, laplace, lorentz, volterra
 from .core import (
@@ -46,6 +45,7 @@ from .spectral import (
     SpinDensity,
     delta_from_fwhm,
     grid_for_density,
+    normalize,
 )
 
 # Parameters a sweep axis may vary. Couplings and drive gaps are the two
@@ -436,7 +436,6 @@ def _versions() -> dict:
     return {
         "cavityspin": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "python": platform.python_version(),
     }
 
@@ -907,8 +906,6 @@ def run_validation() -> list[tuple[str, bool, str, float]]:
     """Cheap end-to-end invariants; the whole list runs in well under a
     minute. Returns (name, passed, detail, seconds) per check; seconds is
     the wall time since the previous check was recorded."""
-    from .spectral import normalize
-
     checks: list[tuple[str, bool, str, float]] = []
     clock = time.perf_counter()
 
@@ -927,10 +924,10 @@ def run_validation() -> list[tuple[str, bool, str, float]]:
 
     try:
         norm = normalize(density)
-        check("density normalization (quadrature + tail)", True,
+        check("density normalization (grid sum + tail)", True,
               f"norm constant {norm:.6f}")
     except ValueError as exc:
-        check("density normalization (quadrature + tail)", False, str(exc))
+        check("density normalization (grid sum + tail)", False, str(exc))
 
     tgrid = TimeGrid(0.0, 0.1, 1001)
     protocol = rect_pulse(kappa, 60.0)

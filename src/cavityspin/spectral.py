@@ -4,14 +4,12 @@ Three ensemble line shapes are supported: a q-Gaussian (heavy algebraic
 tails, the physically interesting case), a Lorentzian (admits closed-form
 dynamics, used for cross checks), and a Dirac delta (no broadening).
 Densities are normalized to unit area analytically; quadrature happens on
-truncated supports, with the truncated tail mass tracked analytically so
+truncated supports, with the truncated tail mass known exactly so
 normalization checks stay honest.
 Every sum over the uniform grid has its one home here: the chirp-z node
 sum, FFT convolution and the discrete Hilbert transform (Lamb shift).
-
-The module imports numpy only. scipy's adaptive quadrature is loaded
-inside `normalize`, the one function that needs it, so time-domain runs
-never pay its import.
+`normalize` checks unit mass with the same node sum on the same grid the
+solvers integrate. The module, like the package, imports numpy only.
 """
 
 from __future__ import annotations
@@ -24,7 +22,8 @@ import numpy as np
 
 # Support half-width of a Lorentzian line, in units of its delta.
 LORENTZ_HALF_WIDTH = 200.0
-# Analytic tail mass a q-Gaussian's support leaves out.
+# Leading-order tail mass a q-Gaussian's support leaves out; it sets
+# the support, and `tail_mass` gives the exact remainder.
 QGAUSS_TAIL_MASS = 1e-6
 # Default frequency-grid spacing, in nodes per FWHM of the line.
 _POINTS_PER_FWHM = 200
@@ -71,8 +70,8 @@ class QGaussianDensity:
 
     For 1 < q < 3 the bracket is always positive, so the analytic form is
     global; ``support`` only marks where quadrature happens. Its
-    half-width is the smallest W whose analytic power-law tail mass drops
-    below QGAUSS_TAIL_MASS.
+    half-width is the W at which the leading-order power-law tail mass
+    equals QGAUSS_TAIL_MASS.
     """
 
     omega_s: float
@@ -95,17 +94,16 @@ class QGaussianDensity:
         return fwhm_relation(self.q, self.delta)
 
     @cached_property
-    def _tail_amplitude(self) -> float:
-        # Leading-order tail: rho ~ C (q-1)^(-p) delta^(2p) x^(-2p), so the
-        # two-sided mass beyond W is 2 C (q-1)^(-p) delta^(2p) W^(1-2p)/(2p-1).
-        p = 1.0 / (self.q - 1.0)
-        return 2.0 * self.norm_constant * self.delta ** (2 * p) * (self.q - 1.0) ** (-p)
-
-    @cached_property
     def half_width(self) -> float:
-        p = 1.0 / (self.q - 1.0)
-        ratio = self._tail_amplitude / (QGAUSS_TAIL_MASS * (2.0 * p - 1.0))
-        return ratio ** (1.0 / (2.0 * p - 1.0))
+        # Leading-order tail: rho ~ C (q-1)^(-p) delta^(2p) x^(-2p), so the
+        # two-sided mass beyond W is 2 c (q-1)^(-p) (W/delta)^(1-2p)/(2p-1)
+        # with c = C delta. W/delta depends on q only; it is solved for in
+        # log space, where no power of delta or (q-1) under- or overflows.
+        q1 = self.q - 1.0
+        p = 1.0 / q1
+        log_c = math.lgamma(p) - math.lgamma(p - 0.5) + 0.5 * math.log(q1 / math.pi)
+        log_amp = math.log(2.0 / (QGAUSS_TAIL_MASS * (2.0 * p - 1.0))) + log_c - p * math.log(q1)
+        return self.delta * math.exp(log_amp / (2.0 * p - 1.0))
 
     @property
     def support(self) -> tuple[float, float]:
@@ -126,9 +124,23 @@ class QGaussianDensity:
         return val if val.shape else float(val)
 
     def tail_mass(self) -> float:
-        """Analytic estimate of the mass outside the truncated support."""
-        p = 1.0 / (self.q - 1.0)
-        return self._tail_amplitude * self.half_width ** (1.0 - 2.0 * p) / (2.0 * p - 1.0)
+        """Exact mass outside the truncated support.
+
+        With p = 1/(q-1), y = 1/(1 + (q-1) (W/delta)^2) and c = C delta,
+        the two-sided tail is c / sqrt(q-1) * B(y; p - 1/2, 1/2). The
+        incomplete beta function is its power series
+        y^a sum_n (1/2)_n / n! * y^n / (a + n), summed until y^n < 1e-18.
+        """
+        q1 = self.q - 1.0
+        a = 1.0 / q1 - 0.5
+        y = 1.0 / (1.0 + q1 * (self.half_width / self.delta) ** 2)
+        series, coef, y_n, n = 0.0, 1.0, 1.0, 0
+        while y_n >= 1e-18:
+            series += coef * y_n / (a + n)
+            coef *= (n + 0.5) / (n + 1)
+            y_n *= y
+            n += 1
+        return self.norm_constant * self.delta / math.sqrt(q1) * y**a * series
 
 
 @dataclass(frozen=True)
@@ -259,25 +271,22 @@ def uniform_grid(center: float, d_omega: float, half_width: float) -> FrequencyG
 def normalize(density: SpinDensity) -> float:
     """Validate unit normalization and return the norm constant.
 
-    The check integrates the pdf over the truncated support with adaptive
-    quadrature and adds the analytic tail mass; the total must be 1 within
-    _NORM_TOL. Truncation is a quadrature concern, not an evaluation concern,
-    so the analytic constant is returned unchanged.
+    The check sums the pdf over the nodes of `grid_for_density(density)`,
+    the coarsest grid any solve of this density uses, so it needs the
+    memory that building that grid does. The exact tail mass beyond the
+    support is added; the total must be 1 within _NORM_TOL. Truncation
+    is a quadrature concern, not an evaluation concern, so the analytic
+    constant is returned unchanged.
     """
-    from scipy.integrate import quad
-
     if isinstance(density, DiracDeltaDensity):
         return 1.0
-    lo, hi = density.support
-    mass, err = quad(
-        density.pdf, lo, hi, points=[density.omega_s], limit=200,
-        epsabs=1e-12, epsrel=1e-11,
-    )
+    grid = grid_for_density(density)
+    mass = density.pdf(grid.omegas) @ grid.weights
     total = mass + density.tail_mass()
     if abs(total - 1.0) > _NORM_TOL:
         raise ValueError(
             f"density mass {total!r} deviates from 1 by more than {_NORM_TOL} "
-            f"(support mass {mass!r}, analytic tail {density.tail_mass()!r})"
+            f"(grid mass {mass!r}, exact tail {density.tail_mass()!r})"
         )
     return density.norm_constant
 

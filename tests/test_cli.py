@@ -190,19 +190,6 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps([m for m in json.loads(sys.argv[2]) if m in sys.modules]))
 """
 
-_CALL_QUADRATURE = """
-import json, sys
-from cavityspin import QGaussianDensity, SystemParams, laplace, normalize
-from cavityspin import delta_from_fwhm, ghz_to_angular, mhz_to_angular
-w = ghz_to_angular(2.6915)
-rho = QGaussianDensity(w, 1.39, delta_from_fwhm(1.39, mhz_to_angular(9.4)))
-params = SystemParams(w, w, w, kappa=mhz_to_angular(0.8), Omega=mhz_to_angular(1.3))
-assert "scipy.integrate" not in sys.modules
-norm = normalize(rho)
-weight = laplace.residue_weight(params, rho, -params.kappa, -w)
-print(json.dumps([norm, abs(weight), "scipy.integrate" in sys.modules]))
-"""
-
 _CALL_RESOLVENT = """
 import json, sys
 from cavityspin import QGaussianDensity, SystemParams, TimeGrid, laplace
@@ -215,6 +202,34 @@ weight = laplace.residue_weight(params, rho, poles[0].sigma, poles[0].omega)
 a0 = laplace.invert(params, rho, TimeGrid(0.0, 0.05, 2)).values[0]
 loaded = [m for m in json.loads(sys.argv[1]) if m in sys.modules]
 print(json.dumps([len(poles), abs(weight), abs(a0), loaded]))
+"""
+
+
+# The runtime needs numpy only: with every scipy import made to fail,
+# validate, every shipped example (coarse) and the resolvent API succeed.
+_WITHOUT_SCIPY = """
+import json, sys
+
+blocked = []
+
+class _NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            blocked.append(name)
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, _NoScipy())
+from cavityspin import QGaussianDensity, SystemParams, TimeGrid, cli, laplace
+from cavityspin import delta_from_fwhm, ghz_to_angular, mhz_to_angular
+assert cli.main(["validate"]) == 0
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+w = ghz_to_angular(2.6915)
+rho = QGaussianDensity(w, 1.39, delta_from_fwhm(1.39, mhz_to_angular(9.4)))
+params = SystemParams(w, w, w, kappa=mhz_to_angular(0.8), Omega=mhz_to_angular(1.3))
+poles = laplace.find_poles(params, rho)
+a0 = laplace.invert(params, rho, TimeGrid(0.0, 0.05, 2), poles=poles).values[0]
+print(json.dumps([len(poles), abs(a0), blocked]))
 """
 
 
@@ -246,7 +261,11 @@ def test_resolvent_api_leaves_scipy_integrate_out():
     assert loaded == []
 
 
-def test_quadrature_imports_scipy_when_called():
-    norm, weight, loaded = _fresh_python(_CALL_QUADRATURE)
-    assert norm > 0 and weight > 0
-    assert loaded
+def test_runtime_needs_numpy_only(tmp_path):
+    runs = [[json.loads(path.read_text())["scenario"], str(path), "grid.dt_ns=0.5",
+             f"output={tmp_path / path.stem}"] for path in EXAMPLES]
+    n_poles, a0, blocked = _fresh_python(_WITHOUT_SCIPY, json.dumps(runs))
+    assert n_poles == 1 and abs(a0 - 1.0) < 1e-3
+    assert blocked == []
+    for path in EXAMPLES:
+        assert (tmp_path / f"{path.stem}.csv").exists()

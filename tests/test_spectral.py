@@ -118,6 +118,24 @@ class TestNormalization:
     def test_dirac_delta(self):
         assert normalize(DiracDeltaDensity(omega_s=1.0)) == 1.0
 
+    @pytest.mark.parametrize("q", [1.02, 1.05, 1.2, 1.3, 1.6, 1.8])
+    def test_qgaussian_grid_sum_closes_over_q(self, q):
+        # The grid sum plus the exact tail closes within _NORM_TOL for every
+        # q; a leading-order tail estimate misses by up to 1e-6 at q <= 1.3.
+        # The canonical q and the Lorentzian are checked above.
+        d = QGaussianDensity(OMEGA_C, q, delta_from_fwhm(q, FWHM))
+        assert normalize(d) == d.norm_constant
+
+    @pytest.mark.parametrize("q", [1.006, 1.02, 1.05, 1.2, 1.39, 1.8])
+    def test_tail_mass_against_quadrature(self, q):
+        # Oracle: adaptive quadrature of the tail in units of delta.
+        d = QGaussianDensity(0.0, q, 1.0)
+        p = 1.0 / (q - 1.0)
+        one_side, _ = integrate.quad(lambda u: (1.0 + (q - 1.0) * u * u) ** (-p),
+                                     d.half_width, np.inf, epsabs=0.0, epsrel=1e-13,
+                                     limit=500)
+        assert d.tail_mass() == pytest.approx(2.0 * d.norm_constant * one_side, rel=1e-10)
+
     def test_grid_mass_matches_tail_prediction(self, qg):
         grid = grid_for_density(qg)
         mass = qg.pdf(grid.omegas) @ grid.weights
@@ -127,6 +145,17 @@ class TestNormalization:
 
 
 class TestFrequencyGrid:
+    @pytest.mark.parametrize("q", [1.006, 1.01, Q_SHAPE, 1.8])
+    def test_support_in_delta_units_depends_on_q_only(self, q):
+        # A narrow line near q = 1 once underflowed to a one-node grid
+        # (q = 1.01, 0.5 MHz) or overflowed (q = 1.006).
+        lines = [QGaussianDensity(OMEGA_C, q, delta_from_fwhm(q, mhz_to_angular(f)))
+                 for f in (0.5, 9.4, 100.0)]
+        ratios = [d.half_width / d.delta for d in lines]
+        assert ratios[0] > 1.0
+        assert ratios == pytest.approx([ratios[1]] * 3, rel=1e-14)
+        assert len({grid_for_density(d).n for d in lines}) == 1
+
     def test_grid_covers_support_with_center_node(self, qg):
         grid = grid_for_density(qg)
         lo, hi = qg.support
