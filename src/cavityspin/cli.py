@@ -140,9 +140,5 @@ def main(argv=None) -> int:
     return 0
 
 
-# Contract name for the entry point; the console script calls main().
-cli_main = main
-
-
 if __name__ == "__main__":
     raise SystemExit(main())

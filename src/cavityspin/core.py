@@ -33,29 +33,28 @@ def angular_to_mhz(omega: float) -> float:
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Cavity, ensemble and drive-frame frequencies plus loss rates.
+    """Cavity, ensemble and drive-frame frequencies plus the cavity loss.
 
     omega_c : cavity resonance (rad/ns)
     omega_s : center of the spin distribution (rad/ns)
     omega_p : drive (rotating-frame) frequency (rad/ns)
     kappa   : cavity amplitude decay rate (rad/ns)
-    gamma   : single-spin amplitude decay rate (rad/ns), usually 0
     Omega   : collective coupling (rad/ns); the polariton splitting
               at resonance is 2*Omega
+
+    The spins have no loss of their own: the damping of the dynamics
+    comes from the inhomogeneous broadening of the line.
     """
 
     omega_c: float
     omega_s: float
     omega_p: float
     kappa: float
-    gamma: float = 0.0
     Omega: float = 0.0
 
     def __post_init__(self):
         if not self.kappa > 0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be non-negative, got {self.gamma}")
         if self.Omega < 0:
             raise ValueError(f"Omega must be non-negative, got {self.Omega}")
         # Rotating-wave sanity: the model drops counter-rotating terms,
@@ -71,14 +70,16 @@ class SystemParams:
         """Complex cavity detuning omega_c - omega_p - i*kappa."""
         return self.omega_c - self.omega_p - 1j * self.kappa
 
-    @property
-    def is_resonant(self) -> bool:
-        """True when drive, cavity and ensemble center all coincide."""
-        scale = max(abs(self.omega_c), 1.0)
-        return (
-            abs(self.omega_p - self.omega_c) <= 1e-12 * scale
-            and abs(self.omega_s - self.omega_c) <= 1e-12 * scale
-        )
+
+def require_resonant(params: SystemParams, center: float, what: str) -> None:
+    """Raise ValueError unless drive, cavity, ensemble and the line shape's
+    own ``center`` all coincide; ``what`` names the resonant-only analysis."""
+    tol = 1e-12 * max(abs(params.omega_c), 1.0)
+    if not (abs(params.omega_p - params.omega_c) <= tol
+            and abs(params.omega_s - params.omega_c) <= tol
+            and abs(center - params.omega_s) <= tol):
+        raise ValueError(f"{what} assumes the resonant configuration "
+                         "omega_p = omega_c = omega_s = line center")
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,15 @@
 
 Everything the command line can do lives here as plain functions: parse a
 JSON document into typed specs, run one of the named scenarios through
-the time-domain solver or the resolvent machinery, and serialize the
-result as a CSV table plus a JSON manifest recording every derived
-constant (snapped pulse durations, fitted comparison parameters, decay
-diagnostics).
+the time-domain solver, the resolvent machinery or the Lorentzian closed
+form, and serialize the result as a CSV table plus a JSON manifest
+recording every derived constant (snapped pulse durations, fitted
+comparison parameters, decay diagnostics).
+
+Every scenario is one point function mapped over its sweep assignments
+(a sweep-free config is one point). The pool size is the smallest of
+the CPU count, the CAVITYSPIN_MAX_WORKERS cap and the number of points,
+so a single point never starts a pool.
 
 Determinism contract: a given config maps to bit-identical CSV bytes
 whether sweep points run serially or on a process pool. Points are
@@ -135,7 +140,6 @@ class SystemSpec:
     coupling_mhz: float
     spin_ghz: float
     probe_ghz: float
-    spin_loss_mhz: float = 0.0
 
     @staticmethod
     def from_mapping(mapping) -> "SystemSpec":
@@ -153,7 +157,6 @@ class SystemSpec:
                 omega_s=ghz_to_angular(self.spin_ghz),
                 omega_p=ghz_to_angular(self.probe_ghz),
                 kappa=mhz_to_angular(self.kappa_mhz),
-                gamma=mhz_to_angular(self.spin_loss_mhz),
                 Omega=mhz_to_angular(self.coupling_mhz),
             )
         except ValueError as exc:
@@ -303,7 +306,6 @@ class ScenarioConfig:
     sweep: tuple[SweepSpec, ...] = ()
     compare: CompareSpec = CompareSpec()
     output: str | None = None
-    workers: int | None = None
 
     @staticmethod
     def from_mapping(mapping) -> "ScenarioConfig":
@@ -315,7 +317,6 @@ class ScenarioConfig:
         sweep_raw = mapping.get("sweep") or []
         if not isinstance(sweep_raw, (list, tuple)):
             raise ConfigError("sweep must be a list of axes")
-        workers = _opt_count(mapping.get("workers"), "workers")
         output = mapping.get("output")
         if output is not None and not isinstance(output, str):
             raise ConfigError(f"output must be a path string, got {output!r}")
@@ -328,7 +329,6 @@ class ScenarioConfig:
             sweep=tuple(SweepSpec.from_mapping(ax) for ax in sweep_raw),
             compare=CompareSpec.from_mapping(mapping.get("compare") or {}),
             output=output,
-            workers=workers,
         )
         # Constructor-validate the base point and every sweep point now,
         # so bad physics parameters fail at parse time (exit code 1)
@@ -440,17 +440,6 @@ def _versions() -> dict:
     }
 
 
-def _finish(config, columns, blocks, derived, diagnostics) -> ResultTable:
-    provenance = {
-        "config_hash": config_hash(config),
-        "versions": _versions(),
-        "derived": _common_derived(config) | derived,
-        "diagnostics": diagnostics,
-    }
-    return ResultTable(columns=tuple(columns), rows=np.vstack(blocks),
-                       provenance=provenance)
-
-
 def _json_default(obj):
     # Diagnostics dicts are assembled from numeric code and routinely
     # carry numpy scalars; np.float64 already subclasses float but
@@ -492,8 +481,8 @@ def write_outputs(table: ResultTable, config: ScenarioConfig, base_path,
 # point execution (one sweep point per task, ordered assembly)
 
 
-def _worker_count(config: ScenarioConfig, n_tasks: int) -> int:
-    limit = config.workers if config.workers is not None else (os.cpu_count() or 1)
+def _worker_count(n_tasks: int) -> int:
+    limit = os.cpu_count() or 1
     cap = os.environ.get(WORKER_ENV)
     if cap is not None:
         try:
@@ -509,7 +498,7 @@ def _worker_count(config: ScenarioConfig, n_tasks: int) -> int:
 def _map_points(point, config, items):
     """``point(config, item)`` for every item, in item order, serially or
     on the process pool; ``point`` must be a module-level function."""
-    workers = _worker_count(config, len(items))
+    workers = _worker_count(len(items))
     if workers <= 1:
         return [point(config, item) for item in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -529,6 +518,10 @@ def _rect_pulse_grid(config):
     requested = config.drive.duration_ns
     pair = {"requested": requested, "snapped": snap_to_grid(requested, dt)}
     return pair, TimeGrid(0.0, dt, int(round(config.grid.t_end_ns / dt)) + 1)
+
+
+def _duration(config, diags):
+    return {"duration_ns": diags[0]["duration_ns"]}
 
 
 # --- long-pulse ---
@@ -659,32 +652,26 @@ def fitted_twin(config: ScenarioConfig):
     )
 
 
-def _compare_trace(config, twin_delta):
-    """The train through the configured density, or through the Lorentzian
-    twin of half-width ``twin_delta`` when that is given."""
-    twin = None
-    if twin_delta is not None:
-        twin = LorentzianDensity(config.system.to_params().omega_s, twin_delta)
-    rows, diag = _train_point(config, (), twin)
-    return rows, {"trace": "main" if twin is None else "twin", **diag}
-
-
-def _run_train_compare(config, scenario) -> ResultTable:
+def _train_compare_point(config, assignment):
     """Identical pulse train through the configured density and through
     its fitted Lorentzian twin, side by side on one time column."""
     twin_omega, twin_delta = fitted_twin(config)
-    results = _map_points(_compare_trace, config, [None, twin_delta])
-    (main_rows, main_diag), (twin_rows, _) = results
-    rows = np.column_stack([main_rows[:, 0], main_rows[:, 1], twin_rows[:, 1]])
-    derived = {
-        "twin_coupling_mhz": angular_to_mhz(twin_omega),
-        "twin_half_width_mhz": angular_to_mhz(twin_delta),
+    twin = LorentzianDensity(config.system.to_params().omega_s, twin_delta)
+    main_rows, diag = _train_point(config, assignment)
+    twin_rows, _ = _train_point(config, assignment, twin)
+    rows = np.column_stack([main_rows, twin_rows[:, 1]])
+    return rows, diag | {"twin_coupling_mhz": angular_to_mhz(twin_omega),
+                         "twin_half_width_mhz": angular_to_mhz(twin_delta)}
+
+
+def _twin_derived(config, diags):
+    return {
+        "twin_coupling_mhz": diags[0]["twin_coupling_mhz"],
+        "twin_half_width_mhz": diags[0]["twin_half_width_mhz"],
         "twin_reference_coupling_mhz": config.compare.twin_coupling_mhz,
         "twin_rabi_mhz": config.compare.twin_rabi_mhz,
-        "tau_pairs_ns": [main_diag["tau_ns"]],
+        **_tau_pairs(config, diags),
     }
-    return _finish(config, scenario.columns, [rows], derived,
-                   [r[1] for r in results])
 
 
 # --- max-scan ---
@@ -705,13 +692,14 @@ def _max_scan_point(config, assignment):
 # --- lorentz-analytic ---
 
 
-def _run_lorentz_analytic(config, scenario) -> ResultTable:
+def _lorentz_analytic_point(config, assignment):
     """Closed-form rectangular-pulse response of the Lorentzian model."""
-    params, _, eta = _build_point(config)
-    duration, tgrid = _rect_pulse_grid(config)
+    cfg = apply_assignment(config, assignment)
+    params, _, eta = _build_point(cfg)
+    duration, tgrid = _rect_pulse_grid(cfg)
     p = lorentz.LorentzParams(
         Omega=params.Omega,
-        Delta=mhz_to_angular(config.density.fwhm_mhz) / 2.0,
+        Delta=mhz_to_angular(cfg.density.fwhm_mhz) / 2.0,
         kappa=params.kappa,
         eta=eta,
         tau_d=duration["snapped"],
@@ -719,29 +707,11 @@ def _run_lorentz_analytic(config, scenario) -> ResultTable:
     t = tgrid.times()
     a, jx = lorentz.pulse_response(p, t)
     rows = np.column_stack([t, a**2, jx**2, np.zeros_like(t)])
-    return _finish(config, scenario.columns, [rows], {"duration_ns": duration}, [])
+    return rows, {"duration_ns": duration}
 
 
 # ---------------------------------------------------------------------------
 # scenario table
-
-
-def _run_points(config, scenario) -> ResultTable:
-    """One point per sweep assignment, stacked in order; axis columns
-    carry the values the point ran at (for tau, the snapped one)."""
-    assignments = iter_assignments(config)
-    results = _map_points(scenario.point, config, assignments)
-    blocks, diags = [], []
-    for assignment, (rows, diag) in zip(assignments, results):
-        if scenario.axis_columns:
-            values = [diag["tau_ns"]["snapped"] if name == "tau_ns" else value
-                      for name, value in assignment]
-            rows = np.column_stack([np.full((len(rows), len(values)), values), rows])
-        blocks.append(rows)
-        diags.append(diag | {"assignment": dict(assignment)})
-    axes = [name for name, _ in assignments[0]] if scenario.axis_columns else []
-    return _finish(config, axes + list(scenario.columns), blocks,
-                   scenario.derived(config, diags), diags)
 
 
 @dataclass(frozen=True)
@@ -749,21 +719,19 @@ class _Scenario:
     """One scenario's shape rules, checked before any solve, and how its
     table is built: ``point(config, assignment) -> (rows, diagnostics)``
     mapped over the sweep, plus ``derived(config, diagnostics)`` manifest
-    fields, unless ``run`` replaces that path. ``resonant`` pins spins,
-    probe and line center to the cavity and the spin loss to zero.
+    fields. ``resonant`` pins spins, probe and line center to the cavity.
     """
 
     columns: tuple[str, ...]
+    point: Callable
     axes: tuple[str, ...] = ()
     required_axis: str | None = None
     drive: str | None = None
     required: tuple[str, ...] = ()
     densities: tuple[str, ...] | None = None
     resonant: bool = False
-    point: Callable | None = None
     axis_columns: bool = False
     derived: Callable = lambda config, diags: {}
-    run: Callable = _run_points
 
     def check(self, config: ScenarioConfig) -> None:
         name = config.scenario
@@ -787,13 +755,11 @@ class _Scenario:
                               f"got {config.density.kind!r}")
         if self.resonant:
             cavity = config.system.cavity_ghz
-            pins = {"system.spin_ghz": cavity, "system.probe_ghz": cavity,
-                    "density.center_ghz": cavity, "system.spin_loss_mhz": 0.0}
-            for field, value in pins.items():
-                if _field(config, field) != value:
+            for field in ("system.spin_ghz", "system.probe_ghz", "density.center_ghz"):
+                if _field(config, field) != cavity:
                     raise ConfigError(
-                        f"{name} is resonant with lossless spins: {field} must be "
-                        f"{value}, got {_field(config, field)}")
+                        f"{name} is resonant: {field} must be {cavity}, "
+                        f"got {_field(config, field)}")
 
 
 def _field(config, dotted):
@@ -815,7 +781,7 @@ _SCENARIO_TABLE = {
         required=("drive.duration_ns", "grid.t_end_ns"),
         point=_long_pulse_point,
         axis_columns=True,
-        derived=lambda config, diags: {"duration_ns": diags[0]["duration_ns"]},
+        derived=_duration,
     ),
     # Phase-switched train for every tau on the sweep axis, long format
     # (tau, t, intensity). The tau column carries the snapped value.
@@ -844,12 +810,16 @@ _SCENARIO_TABLE = {
             "rate_units": "MHz (Gamma / 2 pi), intensity rates",
         },
     ),
+    # One train through the configured line and through its fitted
+    # Lorentzian twin; the twin fit needs the resonant steady state.
     "train-compare": _Scenario(
         columns=("t_ns", "abs_A2_main", "abs_A2_twin"),
         drive="train",
         required=("drive.tau_ns", "drive.n_pulses"),
         densities=("qgauss",),
-        run=_run_train_compare,
+        resonant=True,
+        point=_train_compare_point,
+        derived=_twin_derived,
     ),
     # Settled oscillation maximum of a long train over a (detuning, tau)
     # product scan; pi/tau in rad/ns, so the resonance condition reads
@@ -870,7 +840,8 @@ _SCENARIO_TABLE = {
         required=("drive.duration_ns", "grid.t_end_ns"),
         densities=("lorentz",),
         resonant=True,
-        run=_run_lorentz_analytic,
+        point=_lorentz_analytic_point,
+        derived=_duration,
     ),
 }
 
@@ -878,10 +849,30 @@ SCENARIOS = tuple(_SCENARIO_TABLE)
 
 
 def run_scenario(config: ScenarioConfig) -> ResultTable:
-    """Check the config against its scenario's shape rules, then run it."""
+    """Check the config against its scenario's shape rules, then run one
+    point per sweep assignment and stack them in order; axis columns
+    carry the values the point ran at (for tau, the snapped one)."""
     scenario = _SCENARIO_TABLE[config.scenario]
     scenario.check(config)
-    return scenario.run(config, scenario)
+    assignments = iter_assignments(config)
+    results = _map_points(scenario.point, config, assignments)
+    blocks, diags = [], []
+    for assignment, (rows, diag) in zip(assignments, results):
+        if scenario.axis_columns:
+            values = [diag["tau_ns"]["snapped"] if name == "tau_ns" else value
+                      for name, value in assignment]
+            rows = np.column_stack([np.full((len(rows), len(values)), values), rows])
+        blocks.append(rows)
+        diags.append(diag | {"assignment": dict(assignment)})
+    axes = [name for name, _ in assignments[0]] if scenario.axis_columns else []
+    provenance = {
+        "config_hash": config_hash(config),
+        "versions": _versions(),
+        "derived": _common_derived(config) | scenario.derived(config, diags),
+        "diagnostics": diags,
+    }
+    return ResultTable(columns=tuple(axes) + scenario.columns,
+                       rows=np.vstack(blocks), provenance=provenance)
 
 
 def _common_derived(config: ScenarioConfig) -> dict:

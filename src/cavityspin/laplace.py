@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ComplexSeries, SystemParams, TimeGrid, angular_to_mhz
+from .core import ComplexSeries, SystemParams, TimeGrid, angular_to_mhz, require_resonant
 from .spectral import (
     DiracDeltaDensity,
     FrequencyGrid,
@@ -124,15 +124,7 @@ class DecayRateEstimate:
 
 
 def _require_resonant(params: SystemParams, density: SpinDensity) -> None:
-    if not params.is_resonant:
-        raise ValueError(
-            "Laplace analysis assumes the resonant configuration "
-            "omega_p = omega_c = omega_s"
-        )
-    if abs(density.omega_s - params.omega_s) > 1e-12 * max(abs(params.omega_c), 1.0):
-        raise ValueError("density center does not match params.omega_s")
-    if params.gamma != 0:
-        raise ValueError("single-spin loss is not part of the pole equations")
+    require_resonant(params, density.omega_s, "Laplace analysis")
     if isinstance(density, DiracDeltaDensity):
         raise ValueError(
             "delta density has no branch cut; use the closed-form "

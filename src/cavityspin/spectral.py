@@ -32,6 +32,14 @@ _NORM_TOL = 1e-8
 # Tolerance, in node spacings, below which a support edge past a node
 # is taken to sit on it (rounding of the half-width, not a real overhang).
 _GRID_SNAP = 1e-6
+# Most nodes a frequency grid may have. The largest grid any test, example
+# or benchmark builds is the q = 1.8 default grid (1,571,663 nodes); the
+# cap still admits the default grid up to q = 1.85 (4,045,861 nodes) and
+# keeps one complex node array at 64 MiB, so a chirp-z sum stays within a
+# few hundred MiB. The q-Gaussian support grows without bound as q -> 2
+# (1.3e8 nodes at q = 2.0, 1.1e11 at q = 2.2): such a grid is refused
+# before anything is allocated.
+MAX_GRID_NODES = 2**22
 
 
 def fwhm_relation(q: float, delta: float) -> float:
@@ -258,9 +266,13 @@ def uniform_grid(center: float, d_omega: float, half_width: float) -> FrequencyG
     so last-ulp noise in the half-width cannot add a node pair. A
     Lorentzian's half-width LORENTZ_HALF_WIDTH * delta is exactly 20,000
     of the default FWHM/200 spacings, so its default grid has 40,001
-    nodes for every delta (unless t_max tightens the spacing).
+    nodes for every delta (unless t_max tightens the spacing). A grid of
+    more than MAX_GRID_NODES nodes raises ValueError.
     """
     n_half = math.ceil(half_width / d_omega - _GRID_SNAP)
+    if 2 * n_half + 1 > MAX_GRID_NODES:
+        raise ValueError(f"frequency grid of {2 * n_half + 1:,} nodes exceeds "
+                         f"the cap of {MAX_GRID_NODES:,}")
     omegas = center + d_omega * np.arange(-n_half, n_half + 1)
     weights = np.full(len(omegas), d_omega)
     weights[0] *= 0.5

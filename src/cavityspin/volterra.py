@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .core import ComplexSeries, DriveProtocol, SystemParams, TimeGrid
+from .core import ComplexSeries, DriveProtocol, SystemParams, TimeGrid, require_resonant
 from .spectral import (
     DiracDeltaDensity,
     FrequencyGrid,
@@ -41,7 +41,6 @@ from .spectral import (
     _conv,
     _node_sum,
     grid_for_density,
-    lamb_shift,
 )
 
 # Largest relative residual (normwise backward error) of the discrete
@@ -290,35 +289,32 @@ def collective_spin(params: SystemParams, density: SpinDensity,
 
 def spin_mode_amplitude(params: SystemParams, omega_k: float, g_k: float,
                         a_series: ComplexSeries) -> ComplexSeries:
-    """Single spin-mode response B_k(t) = -g_k int_0^t e^{-i(omega_k - omega_p - i gamma)(t-tau)} A(tau) dtau."""
+    """Single spin-mode response B_k(t) = -g_k int_0^t e^{-i(omega_k - omega_p)(t-tau)} A(tau) dtau."""
     dt = a_series.grid.dt
-    decay = np.exp((-1j * (omega_k - params.omega_p) - params.gamma) * dt
-                   * np.arange(len(a_series)))
+    phase = np.exp(-1j * (omega_k - params.omega_p) * dt * np.arange(len(a_series)))
     return ComplexSeries(grid=a_series.grid,
-                         values=-g_k * _trapezoid_fold(decay, a_series.values, dt))
+                         values=-g_k * _trapezoid_fold(phase, a_series.values, dt))
 
 
 def steady_state(params: SystemParams, density: SpinDensity,
                  eta: float | None = None) -> tuple[complex, complex]:
     """Driven steady state (A_st, J_x^st + i J_y^st) at exact resonance.
 
-    A_st = eta / (-kappa + i Omega^2 [PV + i pi rho(omega_s)]), where the
-    principal-value part vanishes by symmetry, leaving the real
-    -eta / (kappa + pi Omega^2 rho(omega_s)).
+    A_st = eta / (-kappa + i Omega^2 [PV + i pi rho(omega_s)]) and
+    J_st = i A_st (Omega / 2) [PV + i pi rho(omega_s)]. Every line shape
+    is even about omega_s, so the principal value vanishes and both are
+    real: A_st = -eta / (kappa + pi Omega^2 rho(omega_s)).
     """
-    if not params.is_resonant:
-        raise ValueError("steady_state is defined at resonance only")
+    require_resonant(params, density.omega_s, "steady_state")
     if eta is None:
         eta = params.kappa
     if params.Omega == 0.0:
         return (-eta / params.kappa, 0j)
     if isinstance(density, DiracDeltaDensity):
         raise ValueError("steady state needs a broadened density (or Omega = 0)")
-    # PV int rho(omega)/(omega - omega_s) is minus the Lamb shift at omega_s.
-    pv = -lamb_shift(density, grid_for_density(density), density.omega_s)
-    split = pv + 1j * math.pi * density.pdf(density.omega_s)
-    a_st = eta / (-params.kappa + 1j * params.Omega**2 * split)
-    j_st = (1j * a_st * params.Omega / 2.0) * split
+    absorption = math.pi * density.pdf(density.omega_s)
+    a_st = -eta / (params.kappa + params.Omega**2 * absorption)
+    j_st = -a_st * (params.Omega / 2.0) * absorption
     return (complex(a_st), complex(j_st))
 
 
@@ -336,8 +332,7 @@ def decay_from_steady_state(params: SystemParams, density: SpinDensity,
     """
     if tgrid.t_start != 0.0:
         raise ValueError("decay grid starts at the switch-off instant t = 0")
-    if not params.is_resonant:
-        raise ValueError("decay_from_steady_state is defined at resonance only")
+    require_resonant(params, density.omega_s, "decay_from_steady_state")
     if eta is None:
         eta = params.kappa
     a_st, _ = steady_state(params, density, eta=eta)

@@ -103,6 +103,17 @@ def test_unwritable_output_exits_1(small_config, capsys):
     assert "config error: cannot write output" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", ["workers=2", "system.spin_loss_mhz=0"])
+def test_removed_settings_exit_1(small_config, capsys, override):
+    # The pool size comes from the CPU count and CAVITYSPIN_MAX_WORKERS,
+    # and the model has no single-spin loss: both are unknown keys.
+    path, _ = small_config
+    assert main(["long-pulse", str(path), override]) == 1
+    err = capsys.readouterr().err
+    assert "config error: unknown" in err
+    assert override.split("=")[0].split(".")[-1] in err
+
+
 def test_malformed_override_exits_1(small_config, capsys):
     path, _ = small_config
     assert main(["long-pulse", str(path), "grid.dt_ns"]) == 1
@@ -131,6 +142,14 @@ def test_numerical_failure_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(mapping))
     assert main(["gamma-sweep", str(path)]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_oversized_frequency_grid_exits_2(small_config, capsys):
+    # At q = 2.2 the q-Gaussian support needs about 1e11 nodes; the grid
+    # is refused before anything is allocated.
+    path, _ = small_config
+    assert main(["long-pulse", str(path), "density.q=2.2"]) == 2
+    assert "exceeds the cap" in capsys.readouterr().err
 
 
 def test_solver_residual_failure_exits_2(small_config, capsys, monkeypatch):

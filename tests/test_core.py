@@ -32,10 +32,6 @@ class TestSystemParams:
         with pytest.raises(ValueError):
             SystemParams(OMEGA_C, OMEGA_C, OMEGA_C, kappa=0.0)
 
-    def test_rejects_negative_gamma(self):
-        with pytest.raises(ValueError):
-            SystemParams(OMEGA_C, OMEGA_C, OMEGA_C, kappa=KAPPA, gamma=-1e-6)
-
     def test_rejects_negative_coupling(self):
         with pytest.raises(ValueError):
             SystemParams(OMEGA_C, OMEGA_C, OMEGA_C, kappa=KAPPA, Omega=-0.1)

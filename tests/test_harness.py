@@ -3,6 +3,7 @@ and the physics-level behavior of each runner on small grids."""
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -45,7 +46,6 @@ class TestConfigParsing:
     def test_round_trip_is_identity(self):
         mapping = base_mapping(
             sweep=[{"parameter": "tau_ns", "values": [10.0, 20.0]}],
-            workers=3,
             output="somewhere/run",
         )
         cfg = ScenarioConfig.from_mapping(mapping)
@@ -408,8 +408,9 @@ class TestGammaSweep:
         ("system", "spin_loss_mhz", 5.0),
     ])
     def test_rejects_detuned_or_lossy(self, group, key, value, monkeypatch):
-        # The resolvent rates assume the resonant, lossless configuration:
-        # a config error (exit 1) before any solve, not a numerical one.
+        # The resolvent rates assume the resonant configuration: a config
+        # error (exit 1) before any solve, not a numerical one. The model
+        # has no single-spin loss, so that key is unknown.
         monkeypatch.setattr(volterra, "solve", None)
         mapping = base_mapping(
             scenario="gamma-sweep",
@@ -417,7 +418,8 @@ class TestGammaSweep:
             sweep=[{"parameter": "coupling_mhz", "values": [8.56]}],
         )
         mapping[group][key] = value
-        with pytest.raises(ConfigError, match=f"{group}.{key}"):
+        match = "unknown system keys" if key == "spin_loss_mhz" else f"{group}.{key}"
+        with pytest.raises(ConfigError, match=match):
             run_scenario(ScenarioConfig.from_mapping(mapping))
 
     def test_manifest_serializes_diagnostics(self, tmp_path):
@@ -458,6 +460,11 @@ class TestTrainCompare:
         assert derived["twin_half_width_mhz"] == pytest.approx(4.598, rel=0.02)
         assert np.all(table.column("abs_A2_main") >= 0)
         assert np.all(table.column("abs_A2_twin") >= 0)
+        # One point: its diagnostics carry the twin next to the snapped tau.
+        (diag,) = table.provenance["diagnostics"]
+        assert diag["assignment"] == {}
+        assert diag["tau_ns"] == derived["tau_pairs_ns"][0]
+        assert diag["twin_half_width_mhz"] == derived["twin_half_width_mhz"]
 
     def test_rejects_lorentz_main_density(self):
         # A delta line has no steady state to fit the twin to either.
@@ -469,6 +476,24 @@ class TestTrainCompare:
             mapping["density"] = density
             with pytest.raises(ConfigError, match="density.kind"):
                 run_scenario(ScenarioConfig.from_mapping(mapping))
+
+    @pytest.mark.parametrize("group, key, value", [
+        ("system", "probe_ghz", CAVITY_GHZ + 0.01),
+        ("density", "center_ghz", CAVITY_GHZ + 0.001),
+    ])
+    def test_rejects_detuned(self, group, key, value, monkeypatch):
+        # The twin fit needs the resonant steady state: a probe off the
+        # cavity, or a line centred 1 MHz off it, is a config error
+        # before any solve, not a numerical failure or a silent fit.
+        monkeypatch.setattr(volterra, "solve", None)
+        monkeypatch.setattr(volterra, "steady_state", None)
+        mapping = base_mapping(
+            scenario="train-compare",
+            drive={"kind": "train", "tau_ns": 19.5, "n_pulses": 3},
+        )
+        mapping[group][key] = value
+        with pytest.raises(ConfigError, match=f"{group}.{key}"):
+            run_scenario(ScenarioConfig.from_mapping(mapping))
 
     def test_rejects_sweep(self):
         cfg = ScenarioConfig.from_mapping(base_mapping(
@@ -581,8 +606,8 @@ class TestLorentzAnalytic:
         ("system", "spin_loss_mhz", 5.0),
     ])
     def test_rejects_detuned_or_lossy(self, group, key, value):
-        # The closed form is resonant with lossless spins; anything else
-        # would come back as the resonant table, silently.
+        # The closed form is resonant; anything else would come back as
+        # the resonant table, silently. Spin loss is an unknown key.
         mapping = base_mapping(
             scenario="lorentz-analytic",
             grid={"dt_ns": 0.2, "t_end_ns": 300.0},
@@ -590,26 +615,26 @@ class TestLorentzAnalytic:
         )
         mapping["density"] = {"kind": "lorentz", "fwhm_mhz": 9.196}
         mapping[group][key] = value
-        with pytest.raises(ConfigError, match=f"{group}.{key}"):
+        match = "unknown system keys" if key == "spin_loss_mhz" else f"{group}.{key}"
+        with pytest.raises(ConfigError, match=match):
             run_scenario(ScenarioConfig.from_mapping(mapping))
 
 
 class TestDeterminism:
-    def test_parallel_matches_serial_bytes(self, tmp_path):
-        # The box may have a single CPU; two workers still exercise the
-        # process pool, and ordered dispatch must make the bytes identical.
-        mapping = base_mapping(
+    def test_parallel_matches_serial_bytes(self, tmp_path, monkeypatch):
+        # The pool size follows the CPU count; reporting one or two CPUs
+        # runs the sweep serially or on a real two-worker pool, and
+        # ordered dispatch must make the bytes identical.
+        monkeypatch.delenv(WORKER_ENV, raising=False)
+        cfg = ScenarioConfig.from_mapping(base_mapping(
             scenario="train-map",
             drive={"kind": "train", "n_pulses": 4},
             grid={"dt_ns": 0.1},
             sweep=[{"parameter": "tau_ns", "values": [24.0, 30.0]}],
-        )
-        outputs = {}
+        ))
         for workers in (1, 2):
-            cfg = ScenarioConfig.from_mapping({**mapping, "workers": workers})
-            table = run_scenario(cfg)
-            outputs[workers] = write_outputs(table, cfg,
-                                             tmp_path / f"w{workers}")
+            monkeypatch.setattr(os, "cpu_count", lambda: workers)
+            write_outputs(run_scenario(cfg), cfg, tmp_path / f"w{workers}")
         csv_1 = (tmp_path / "w1.csv").read_bytes()
         csv_2 = (tmp_path / "w2.csv").read_bytes()
         assert csv_1 == csv_2
@@ -617,8 +642,6 @@ class TestDeterminism:
         m2 = json.loads((tmp_path / "w2.manifest.json").read_text())
         for manifest in (m1, m2):
             manifest.pop("timings", None)
-            manifest.pop("config_hash", None)
-            manifest["config"].pop("workers", None)
         assert m1 == m2
 
     def test_worker_env_cap_must_be_integer(self, monkeypatch):

@@ -19,7 +19,13 @@ from cavityspin import (
     normalize,
 )
 from cavityspin import laplace
-from cavityspin.spectral import _fast_len, lamb_shift_nodes, qgauss_norm, uniform_grid
+from cavityspin.spectral import (
+    MAX_GRID_NODES,
+    _fast_len,
+    lamb_shift_nodes,
+    qgauss_norm,
+    uniform_grid,
+)
 from conftest import FWHM, OMEGA_C, Q_SHAPE, resonant_system
 
 
@@ -187,6 +193,21 @@ class TestFrequencyGrid:
         counts = {grid_for_density(LorentzianDensity(OMEGA_C, d), t_max=1365.0).n
                   for d in deltas}
         assert counts == {40_001}
+
+    @pytest.mark.parametrize("q", [2.2, 2.5])
+    def test_grid_beyond_node_cap_raises_before_allocating(self, q):
+        # The support grows without bound as q -> 2: 1.1e11 nodes at
+        # q = 2.2, which numpy cannot allocate.
+        line = QGaussianDensity(OMEGA_C, q, delta_from_fwhm(q, FWHM))
+        with pytest.raises(ValueError, match="nodes exceeds the cap"):
+            grid_for_density(line)
+
+    def test_node_cap_counts_both_halves(self):
+        d_omega = 1e-3
+        n_half = (MAX_GRID_NODES - 1) // 2
+        assert uniform_grid(0.0, d_omega, n_half * d_omega).n == MAX_GRID_NODES - 1
+        with pytest.raises(ValueError, match=f"{MAX_GRID_NODES + 1:,} nodes"):
+            uniform_grid(0.0, d_omega, (n_half + 1) * d_omega)
 
 
 def test_fast_len_matches_scipy():

@@ -7,7 +7,9 @@ from cavityspin import (
     DiracDeltaDensity,
     DriveProtocol,
     LorentzianDensity,
+    QGaussianDensity,
     TimeGrid,
+    delta_from_fwhm,
     grid_for_density,
     mhz_to_angular,
     phase_switched_train,
@@ -25,7 +27,7 @@ from cavityspin.volterra import (
     spin_mode_amplitude,
     steady_state,
 )
-from conftest import KAPPA, OMEGA_C, detuned_system, resonant_system
+from conftest import FWHM, KAPPA, OMEGA_C, Q_SHAPE, detuned_system, resonant_system
 
 DT = 0.05
 
@@ -360,6 +362,17 @@ class TestSteadyState:
         with pytest.raises(ValueError):
             steady_state(p, ensemble, eta=KAPPA)
 
+    def test_requires_line_centred_on_the_resonance(self):
+        # Drive, cavity and params.omega_s agree, but the line itself sits
+        # 1 MHz off: its centred value would be a silently wrong number.
+        shifted = QGaussianDensity(OMEGA_C + mhz_to_angular(1.0), Q_SHAPE,
+                                   delta_from_fwhm(Q_SHAPE, FWHM))
+        p = resonant_system(8.56)
+        with pytest.raises(ValueError, match="line center"):
+            steady_state(p, shifted, eta=KAPPA)
+        with pytest.raises(ValueError, match="line center"):
+            decay_from_steady_state(p, shifted, TimeGrid(0.0, DT, 11), eta=KAPPA)
+
 
 class TestDecayFromSteadyState:
     def test_starts_at_steady_state_and_pushes_up(self, ensemble):
@@ -488,18 +501,15 @@ class TestSpinModeAmplitude:
         expected = -2e-4 * a0 * t
         assert np.abs(b.values - expected).max() < 1e-12
 
-    def test_detuned_damped_mode_closed_form(self):
+    def test_detuned_mode_closed_form(self):
         import cavityspin
 
-        p = cavityspin.SystemParams(
-            omega_c=OMEGA_C, omega_s=OMEGA_C, omega_p=OMEGA_C,
-            kappa=KAPPA, gamma=2e-3, Omega=0.0,
-        )
+        p = resonant_system(0.0)
         tgrid = TimeGrid(0.0, 0.01, 2001)
         a0 = 1.0 + 0j
         a = cavityspin.ComplexSeries(tgrid, np.full(2001, a0))
         mu = mhz_to_angular(5.0)
         b = spin_mode_amplitude(p, omega_k=OMEGA_C + mu, g_k=1e-3, a_series=a)
-        z = 1j * mu + p.gamma
+        z = 1j * mu
         expected = -1e-3 * a0 * (1.0 - np.exp(-z * tgrid.times())) / z
         assert np.abs(b.values - expected).max() < 1e-6 * np.abs(expected).max()
