@@ -26,6 +26,7 @@ import json
 import math
 import os
 import platform
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields, replace
@@ -90,8 +91,10 @@ def _reject_unknown(mapping, spec, where):
 
 
 def _as_float(value, name):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
+    # The bound also refuses NaN, infinities and ints beyond float range.
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -318,8 +321,10 @@ class ScenarioConfig:
         if not isinstance(sweep_raw, (list, tuple)):
             raise ConfigError("sweep must be a list of axes")
         output = mapping.get("output")
-        if output is not None and not isinstance(output, str):
-            raise ConfigError(f"output must be a path string, got {output!r}")
+        if output is not None and (not isinstance(output, str)
+                                   or os.path.basename(output) in ("", ".", "..")):
+            raise ConfigError(f"output must be a path string ending in a file "
+                              f"name, got {output!r}")
         config = ScenarioConfig(
             scenario=scenario,
             system=system,

@@ -14,17 +14,18 @@ whole-step runs: F steps from one run start to the next by its closed
 form, and each run's samples are one vectorized expression, O(steps)
 for any number of segments.
 
-Every sum over the uniform frequency grid (the kernel table, the
-collective-spin propagator, the ring-down source) is a chirp-z sum,
-evaluated as one FFT convolution by `spectral._node_sum` (Bluestein;
-Rabiner, Schafer & Rader 1969); the time convolutions use
-`spectral._conv`. Because K(0) = 0, the trapezoid rule over the whole
-time grid is a unit lower-triangular Toeplitz system: `solve` inverts
-its symbol as a power series by Newton doubling and applies the inverse
-with one more FFT convolution (Hairer, Lubich & Schlichte 1985), then
-checks the residual of the discrete system it solved. `solve_direct`
-marches the same rule step by step, with a kernel from per-lag direct
-sums, as the O(n^2) reference on short grids.
+Both sums over the uniform frequency grid (the kernel table and the
+collective-spin propagator) are chirp-z sums, evaluated as one FFT
+convolution by `spectral._node_sum` (Bluestein; Rabiner, Schafer &
+Rader 1969); the time convolutions use `spectral._conv`. Because
+K(0) = 0, the trapezoid rule over the whole time grid is a unit
+lower-triangular Toeplitz system: `solve` inverts its symbol as a power
+series by Newton doubling and applies the inverse with one more FFT
+convolution (Hairer, Lubich & Schlichte 1985), then checks the residual
+of the discrete system it solved. `solve_direct` marches the same rule
+step by step, with a kernel from per-lag direct sums, as the O(n^2)
+reference on short grids. The ring-down from the driven steady state is
+that state minus `solve`'s switch-on response.
 """
 
 from __future__ import annotations
@@ -33,7 +34,14 @@ import math
 
 import numpy as np
 
-from .core import ComplexSeries, DriveProtocol, SystemParams, TimeGrid, require_resonant
+from .core import (
+    ComplexSeries,
+    DriveProtocol,
+    SystemParams,
+    TimeGrid,
+    rect_pulse,
+    require_resonant,
+)
 from .spectral import (
     DiracDeltaDensity,
     FrequencyGrid,
@@ -287,15 +295,6 @@ def collective_spin(params: SystemParams, density: SpinDensity,
     return ComplexSeries(grid=a_series.grid, values=-(params.Omega / 2.0) * out)
 
 
-def spin_mode_amplitude(params: SystemParams, omega_k: float, g_k: float,
-                        a_series: ComplexSeries) -> ComplexSeries:
-    """Single spin-mode response B_k(t) = -g_k int_0^t e^{-i(omega_k - omega_p)(t-tau)} A(tau) dtau."""
-    dt = a_series.grid.dt
-    phase = np.exp(-1j * (omega_k - params.omega_p) * dt * np.arange(len(a_series)))
-    return ComplexSeries(grid=a_series.grid,
-                         values=-g_k * _trapezoid_fold(phase, a_series.values, dt))
-
-
 def steady_state(params: SystemParams, density: SpinDensity,
                  eta: float | None = None) -> tuple[complex, complex]:
     """Driven steady state (A_st, J_x^st + i J_y^st) at exact resonance.
@@ -322,41 +321,12 @@ def decay_from_steady_state(params: SystemParams, density: SpinDensity,
                             tgrid: TimeGrid, eta: float | None = None) -> ComplexSeries:
     """Free decay after switching off a long resonant drive.
 
-    Starts from the driven steady state with the ensemble polarized; the
-    stored excitation re-emits through the source term
-
-        S(t) = A_st Omega^2 [ int rho(omega) sin((omega-omega_s) t)/(omega-omega_s) d omega
-                              - pi rho(omega_s) ],
-
-    which is folded with the cavity response and the usual memory kernel.
+    By linearity and time invariance it is the driven steady state minus
+    the response to the same drive switched on at t = 0,
+    A(t) = A_st - solve(rect_pulse(eta, t_end))(t), so A(0) = A_st exactly.
     """
-    if tgrid.t_start != 0.0:
-        raise ValueError("decay grid starts at the switch-off instant t = 0")
     require_resonant(params, density.omega_s, "decay_from_steady_state")
-    if eta is None:
-        eta = params.kappa
+    eta = params.kappa if eta is None else eta
     a_st, _ = steady_state(params, density, eta=eta)
-    times = tgrid.times()
-    kappa = params.kappa
-    if params.Omega == 0.0:
-        return ComplexSeries(grid=tgrid, values=a_st * np.exp(-kappa * times))
-    grid = grid_for_density(density, t_max=tgrid.t_end)
-
-    # sin(x t)/x = -Im e^{-i x t}/x as a chirp-z sum; the centre node
-    # x = 0 contributes its limit t exactly.
-    x = grid.omegas - params.omega_s
-    mass = _mass_weights(density, grid)
-    centre = x == 0.0
-    coef = np.where(centre, 0.0, mass / np.where(centre, 1.0, x))
-    n = tgrid.n_steps
-    source = (-_node_sum(coef, grid, params.omega_s, tgrid.dt, n).imag
-              + times * mass[centre].sum())
-    rho_s = density.pdf(density.omega_s)
-    source = (a_st * params.Omega**2) * (source - math.pi * rho_s)
-
-    # Forcing: steady state relaxing at kappa plus the re-emission folded
-    # with e^{-kappa (t-s)} by the trapezoid rule, matching the march.
-    forcing = (a_st * np.exp(-kappa * times)
-               + _trapezoid_fold(np.exp(-kappa * times), source, tgrid.dt))
-    k = KernelCache(params, density, grid, tgrid.dt).values(n)
-    return ComplexSeries(grid=tgrid, values=_march(k, forcing, tgrid.dt))
+    switch_on = solve(params, density, rect_pulse(eta, tgrid.t_end), tgrid)
+    return ComplexSeries(grid=tgrid, values=a_st - switch_on.values)

@@ -114,6 +114,38 @@ def test_removed_settings_exit_1(small_config, capsys, override):
     assert override.split("=")[0].split(".")[-1] in err
 
 
+@pytest.mark.parametrize("scenario,example,override", [
+    ("long-pulse", "long_pulse.json", "grid.dt_ns=NaN"),
+    ("long-pulse", "long_pulse.json", "grid.t_end_ns=Infinity"),
+    ("long-pulse", "long_pulse.json", "drive.amplitude_mhz=NaN"),
+    ("long-pulse", "long_pulse.json", "system.spin_ghz=NaN"),
+    pytest.param("long-pulse", "long_pulse.json", "grid.t_end_ns=1" + "0" * 400,
+                 id="long-pulse-long_pulse.json-grid.t_end_ns=1e400-int"),
+    ("gamma-sweep", "gamma_sweep.json", "compare.formula_delta_mhz=NaN"),
+])
+def test_non_finite_number_exits_1(tmp_path, capsys, scenario, example, override):
+    # JSON overrides parse NaN and Infinity to floats, and a long digit
+    # string to an int beyond float range; the config must refuse them
+    # before they reach a grid size or a density.
+    config = EXAMPLES[0].parent / example
+    assert main([scenario, str(config), override,
+                 f"output={tmp_path / 'run'}"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "finite number" in err
+    assert not (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.parametrize("output", ["", "out/", ".", "out/.."])
+def test_empty_output_basename_exits_1(small_config, capsys, monkeypatch, output):
+    # Without a file name the run would write hidden ".csv" (or "..csv")
+    # and ".manifest.json" files.
+    path, tmp_path = small_config
+    monkeypatch.chdir(tmp_path)
+    assert main(["long-pulse", str(path), f"output={output}"]) == 1
+    assert "config error: output" in capsys.readouterr().err
+    assert not list(tmp_path.rglob(".*csv"))
+
+
 def test_malformed_override_exits_1(small_config, capsys):
     path, _ = small_config
     assert main(["long-pulse", str(path), "grid.dt_ns"]) == 1
