@@ -67,7 +67,71 @@ def qgauss_norm(q: float, delta: float) -> float:
     """Analytic normalization constant of the unit-area q-Gaussian."""
     _check_q(q)
     p = 1.0 / (q - 1.0)
-    return math.gamma(p) / (math.gamma(p - 0.5) * delta * math.sqrt(math.pi / (q - 1.0)))
+    # Gamma(p) / Gamma(p - 1/2) in log space: Gamma(p) overflows from
+    # q = 1.0058 on, while the ratio grows only like sqrt(p).
+    ratio = math.exp(math.lgamma(p) - math.lgamma(p - 0.5))
+    return ratio / (delta * math.sqrt(math.pi / (q - 1.0)))
+
+
+def _log_support(q: float) -> float:
+    """log(W / delta) of a q-Gaussian's support half-width W.
+
+    Leading-order tail: rho ~ C (q-1)^(-p) delta^(2p) x^(-2p), so the
+    two-sided mass beyond W is 2 c (q-1)^(-p) (W/delta)^(1-2p)/(2p-1)
+    with c = C delta, set equal to QGAUSS_TAIL_MASS. W/delta depends on
+    q only; in log space no power of delta or (q-1) under- or overflows.
+    """
+    q1 = q - 1.0
+    p = 1.0 / q1
+    log_c = math.lgamma(p) - math.lgamma(p - 0.5) + 0.5 * math.log(q1 / math.pi)
+    log_amp = math.log(2.0 / (QGAUSS_TAIL_MASS * (2.0 * p - 1.0))) + log_c - p * math.log(q1)
+    return log_amp / (2.0 * p - 1.0)
+
+
+def _log_default_half_nodes(q: float) -> float:
+    """log(W / d_omega) on a q-Gaussian's default grid (d_omega =
+    FWHM / _POINTS_PER_FWHM): about half its node count, for q only."""
+    return _log_support(q) + math.log(_POINTS_PER_FWHM / fwhm_relation(q, 1.0))
+
+
+# The default grid fits under MAX_GRID_NODES while W / d_omega stays here.
+_LOG_MAX_HALF_NODES = math.log((MAX_GRID_NODES - 1) // 2)
+
+
+def _grid_edge(fits: float, misses: float) -> float:
+    """Bisect between a q whose default grid fits and one whose grid does
+    not, to the last q (within 1e-13) that fits."""
+    while abs(fits - misses) > 1e-13:
+        mid = 0.5 * (fits + misses)
+        if _log_default_half_nodes(mid) <= _LOG_MAX_HALF_NODES:
+            fits = mid
+        else:
+            misses = mid
+    return fits
+
+
+@cache
+def default_grid_q_range() -> tuple[float, float]:
+    """Smallest and largest q whose default grid fits under MAX_GRID_NODES.
+
+    The node count falls with q down to its minimum near q = 1.076 (the
+    support rule's power-law tail widens toward the Gaussian limit) and
+    grows without bound toward q = 2; q = 1.5 fits.
+    """
+    return _grid_edge(1.5, 1.0), _grid_edge(1.5, 3.0)
+
+
+def check_default_grid(q: float) -> None:
+    """Raise ValueError for a q-Gaussian whose default grid would exceed
+    MAX_GRID_NODES, which no solve of it could build at any width."""
+    _check_q(q)
+    if _log_default_half_nodes(q) > _LOG_MAX_HALF_NODES:
+        lo, hi = default_grid_q_range()
+        raise ValueError(
+            f"q = {q} needs a default frequency grid (FWHM/{_POINTS_PER_FWHM} spacing) "
+            f"of more than {MAX_GRID_NODES:,} nodes; the largest admissible q is "
+            f"{math.floor(hi * 1e4) / 1e4} (the smallest "
+            f"{1.0 + math.ceil((lo - 1.0) * 1e12) / 1e12})")
 
 
 @dataclass(frozen=True)
@@ -103,15 +167,7 @@ class QGaussianDensity:
 
     @cached_property
     def half_width(self) -> float:
-        # Leading-order tail: rho ~ C (q-1)^(-p) delta^(2p) x^(-2p), so the
-        # two-sided mass beyond W is 2 c (q-1)^(-p) (W/delta)^(1-2p)/(2p-1)
-        # with c = C delta. W/delta depends on q only; it is solved for in
-        # log space, where no power of delta or (q-1) under- or overflows.
-        q1 = self.q - 1.0
-        p = 1.0 / q1
-        log_c = math.lgamma(p) - math.lgamma(p - 0.5) + 0.5 * math.log(q1 / math.pi)
-        log_amp = math.log(2.0 / (QGAUSS_TAIL_MASS * (2.0 * p - 1.0))) + log_c - p * math.log(q1)
-        return self.delta * math.exp(log_amp / (2.0 * p - 1.0))
+        return self.delta * math.exp(_log_support(self.q))
 
     @property
     def support(self) -> tuple[float, float]:

@@ -177,11 +177,34 @@ def test_numerical_failure_exits_2(tmp_path, capsys):
 
 
 def test_oversized_frequency_grid_exits_2(small_config, capsys):
-    # At q = 2.2 the q-Gaussian support needs about 1e11 nodes; the grid
-    # is refused before anything is allocated.
+    # q = 1.85 passes the parse (its default grid has 4,045,861 nodes),
+    # but a 3,000 ns window tightens the spacing to pi/(4 t_max), past
+    # the cap; the grid is refused before anything is allocated.
     path, _ = small_config
-    assert main(["long-pulse", str(path), "density.q=2.2"]) == 2
+    assert main(["long-pulse", str(path), "density.q=1.85", "grid.t_end_ns=3000"]) == 2
     assert "exceeds the cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q", [1.86, 2.2, 2.95, 2.99, 1.0000000001])
+def test_line_without_a_buildable_grid_exits_1(small_config, capsys, q):
+    # Such a line's default grid exceeds the node cap at any width, so
+    # no solve of it can run; at q = 2.99 the support half-width itself
+    # overflowed a float.
+    path, tmp_path = small_config
+    assert main(["long-pulse", str(path), f"density.q={q}"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "largest admissible q is 1.8518" in err
+    assert not (tmp_path / "run.csv").exists()
+
+
+def test_line_near_the_gaussian_limit_runs(tmp_path):
+    # Gamma(p) overflows a float from q = 1.0058 on; the norm constant
+    # is taken in log space.
+    config = EXAMPLES[0].parent / "long_pulse.json"
+    assert main(["long-pulse", str(config), "density.q=1.005",
+                 f"output={tmp_path / 'run'}"]) == 0
+    rows = np.loadtxt(tmp_path / "run.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(rows)) and rows[:, 1].max() > 0
 
 
 def test_solver_residual_failure_exits_2(small_config, capsys, monkeypatch):

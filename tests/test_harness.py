@@ -644,6 +644,32 @@ class TestDeterminism:
             manifest.pop("timings", None)
         assert m1 == m2
 
+    def test_gamma_sweep_parallel_matches_serial_bytes(self, tmp_path, monkeypatch):
+        # Points from 15 MHz on ask for the same windows, so inside a run
+        # (and inside each forked worker) they share kernel tables; the
+        # bytes must not depend on which points shared, or in what order.
+        monkeypatch.delenv(WORKER_ENV, raising=False)
+        couplings = [15.0, 20.0, 25.0]
+        tables = []
+        for workers, values in ((1, couplings), (2, couplings), (1, couplings[::-1])):
+            monkeypatch.setattr(os, "cpu_count", lambda: workers)
+            cfg = ScenarioConfig.from_mapping(base_mapping(
+                scenario="gamma-sweep",
+                grid={"dt_ns": 0.5},
+                sweep=[{"parameter": "coupling_mhz", "values": values}],
+            ))
+            table = run_scenario(cfg)
+            tables.append(table)
+            write_outputs(table, cfg, tmp_path / f"w{workers}-{values[0]}")
+        assert ((tmp_path / "w1-15.0.csv").read_bytes()
+                == (tmp_path / "w2-15.0.csv").read_bytes())
+        manifests = [json.loads((tmp_path / f"{name}.manifest.json").read_text())
+                     for name in ("w1-15.0", "w2-15.0")]
+        for manifest in manifests:
+            manifest.pop("timings", None)
+        assert manifests[0] == manifests[1]
+        assert tables[2].rows[::-1].tobytes() == tables[0].rows.tobytes()
+
     def test_worker_env_cap_must_be_integer(self, monkeypatch):
         monkeypatch.setenv(WORKER_ENV, "banana")
         cfg = ScenarioConfig.from_mapping(base_mapping(
@@ -654,6 +680,41 @@ class TestDeterminism:
         ))
         with pytest.raises(ConfigError, match=WORKER_ENV):
             run_scenario(cfg)
+
+
+class TestKernelShare:
+    def test_share_lives_for_one_run(self, monkeypatch):
+        # The solves of a run share kernel tables; after the run, whether
+        # it returns or raises, nothing is left to warm the next one.
+        from cavityspin import laplace
+
+        monkeypatch.setenv(WORKER_ENV, "1")
+        cfg = ScenarioConfig.from_mapping(base_mapping(
+            scenario="gamma-sweep",
+            grid={"dt_ns": 0.5},
+            sweep=[{"parameter": "coupling_mhz", "values": [20.0, 25.0]}],
+        ))
+        held = []
+        timefit = laplace.decay_rate_timefit
+
+        def spy(series):
+            held.append(len(volterra._share.get()))
+            return timefit(series)
+
+        monkeypatch.setattr(laplace, "decay_rate_timefit", spy)
+        run_scenario(cfg)
+        assert volterra._share.get() is None
+        assert held and min(held) > 0
+
+        def fail(series):
+            held.append(len(volterra._share.get()))
+            raise ValueError("fit failed")
+
+        monkeypatch.setattr(laplace, "decay_rate_timefit", fail)
+        with pytest.raises(ValueError, match="fit failed"):
+            run_scenario(cfg)
+        assert volterra._share.get() is None
+        assert held[-1] > 0
 
 
 class TestValidation:

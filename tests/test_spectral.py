@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, optimize
 from scipy.fft import next_fast_len
+from scipy.special import gammaln
 
 from cavityspin import (
     DiracDeltaDensity,
@@ -20,8 +21,11 @@ from cavityspin import (
 )
 from cavityspin import laplace
 from cavityspin.spectral import (
+    _GRID_SNAP,
     MAX_GRID_NODES,
     _fast_len,
+    check_default_grid,
+    default_grid_q_range,
     lamb_shift_nodes,
     qgauss_norm,
     uniform_grid,
@@ -41,6 +45,13 @@ class TestQGaussianShape:
         raw = lambda x: (1.0 + (qg.q - 1.0) * (x / qg.delta) ** 2) ** (-p)
         mass, _ = integrate.quad(raw, -np.inf, np.inf, limit=400)
         assert qgauss_norm(qg.q, qg.delta) == pytest.approx(1.0 / mass, rel=1e-9)
+
+    @pytest.mark.parametrize("q", [1.001, 1.005, 1.0058, 1.02, Q_SHAPE, 1.8, 2.5, 2.99])
+    def test_norm_constant_against_log_gamma(self, q):
+        # Gamma(p) overflows a float from q = 1.0058 on (p > 171.6).
+        p = 1.0 / (q - 1.0)
+        expected = math.exp(gammaln(p) - gammaln(p - 0.5)) / math.sqrt(math.pi / (q - 1.0))
+        assert qgauss_norm(q, 1.0) == pytest.approx(expected, rel=1e-13)
 
     def test_half_maximum_sits_at_half_fwhm(self, qg):
         peak = qg.pdf(qg.omega_s)
@@ -201,6 +212,25 @@ class TestFrequencyGrid:
         line = QGaussianDensity(OMEGA_C, q, delta_from_fwhm(q, FWHM))
         with pytest.raises(ValueError, match="nodes exceeds the cap"):
             grid_for_density(line)
+
+    def test_default_grid_q_range_meets_the_cap(self):
+        # Just inside each end of the range the default grid's node count
+        # (the rule of uniform_grid, counted without allocating) is within
+        # the cap, just outside past it. Near q = 1 the FWHM relation
+        # loses digits to cancellation, so that end is probed 1e-12 away.
+        def nodes(q):
+            line = QGaussianDensity(OMEGA_C, q, delta_from_fwhm(q, FWHM))
+            return 2 * math.ceil(line.half_width / (line.fwhm / 200) - _GRID_SNAP) + 1
+
+        lo, hi = default_grid_q_range()
+        assert 1.8518 < hi < 1.8519 and 1.0 < lo < 1.0 + 1e-8
+        for inside, outside in ((hi, hi + 1e-9), (lo + 1e-12, lo - 1e-12)):
+            assert nodes(inside) <= MAX_GRID_NODES < nodes(outside)
+            check_default_grid(inside)
+            with pytest.raises(ValueError, match="largest admissible q is 1.8518"):
+                check_default_grid(outside)
+        for q in (1.0058, 1.01, Q_SHAPE, 1.85):
+            check_default_grid(q)
 
     def test_node_cap_counts_both_halves(self):
         d_omega = 1e-3
