@@ -15,6 +15,10 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
+# Most samples a time grid may have (64 MiB per complex series). The largest
+# example grid is max-scan's 46,801; gamma-sweep's window cap gives 81,921 at dt = 0.2.
+MAX_TIME_STEPS = 2**22
+
 
 def mhz_to_angular(f_mhz: float) -> float:
     """Angular frequency (rad/ns) for a laboratory frequency in MHz."""
@@ -95,6 +99,8 @@ class TimeGrid:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.n_steps < 2:
             raise ValueError(f"need at least 2 samples, got {self.n_steps}")
+        if self.n_steps > MAX_TIME_STEPS:
+            raise ValueError(f"{self.n_steps:,} time samples exceed the cap of {MAX_TIME_STEPS:,}")
 
     @property
     def t_end(self) -> float:

@@ -1,7 +1,6 @@
 """CLI contract: subcommands, overrides, exit codes, output files."""
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +9,6 @@ import numpy as np
 import pytest
 
 from cavityspin.cli import main
-from cavityspin.harness import WORKER_ENV
 
 EXAMPLES = sorted((Path(__file__).resolve().parent.parent / "docs" / "examples").glob("*.json"))
 
@@ -105,8 +103,8 @@ def test_unwritable_output_exits_1(small_config, capsys):
 
 @pytest.mark.parametrize("override", ["workers=2", "system.spin_loss_mhz=0"])
 def test_removed_settings_exit_1(small_config, capsys, override):
-    # The pool size comes from the CPU count and CAVITYSPIN_MAX_WORKERS,
-    # and the model has no single-spin loss: both are unknown keys.
+    # Sweep points run serially, so there is no worker count to set, and
+    # the model has no single-spin loss: both are unknown keys.
     path, _ = small_config
     assert main(["long-pulse", str(path), override]) == 1
     err = capsys.readouterr().err
@@ -183,6 +181,16 @@ def test_oversized_frequency_grid_exits_2(small_config, capsys):
     path, _ = small_config
     assert main(["long-pulse", str(path), "density.q=1.85", "grid.t_end_ns=3000"]) == 2
     assert "exceeds the cap" in capsys.readouterr().err
+
+
+def test_oversized_time_grid_exits_2(tmp_path, capsys):
+    # 1.2e15 samples: the grid is refused before anything is allocated.
+    config = EXAMPLES[0].parent / "long_pulse.json"
+    assert main(["long-pulse", str(config), "grid.dt_ns=1e-12",
+                 f"output={tmp_path / 'run'}"]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "exceed the cap" in err
+    assert not (tmp_path / "run.csv").exists()
 
 
 @pytest.mark.parametrize("q", [1.86, 2.2, 2.95, 2.99, 1.0000000001])
@@ -308,9 +316,8 @@ print(json.dumps([len(poles), abs(a0), blocked]))
 
 
 def _fresh_python(script, *args):
-    env = {**os.environ, WORKER_ENV: "1"}
     proc = subprocess.run([sys.executable, "-c", script, *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -333,6 +340,21 @@ def test_resolvent_api_leaves_scipy_integrate_out():
     assert n_poles == 1 and weight > 0
     assert abs(a0 - 1.0) < 1e-3
     assert loaded == []
+
+
+_POOL_MODULES = ("concurrent.futures", "multiprocessing")
+
+_IMPORT_CLI = """
+import json, sys
+import cavityspin.cli
+print(json.dumps([m for m in json.loads(sys.argv[1]) if m in sys.modules]))
+"""
+
+
+def test_import_leaves_process_pools_out():
+    # Sweep points run serially; the pool modules cost a fresh process
+    # about 27 ms of import.
+    assert _fresh_python(_IMPORT_CLI, json.dumps(_POOL_MODULES)) == []
 
 
 def test_runtime_needs_numpy_only(tmp_path):

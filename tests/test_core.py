@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from cavityspin import (
     phase_switched_train,
     rect_pulse,
 )
+from cavityspin.core import MAX_TIME_STEPS
 from conftest import OMEGA_C, KAPPA
 
 
@@ -51,6 +53,18 @@ class TestTimeGrid:
             TimeGrid(0.0, 0.0, 10)
         with pytest.raises(ValueError):
             TimeGrid(0.0, 0.05, 1)
+
+    def test_step_cap(self):
+        # The cap is checked before any array exists.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceed the cap"):
+                TimeGrid(0.0, 1.0, MAX_TIME_STEPS + 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert TimeGrid(0.0, 1.0, MAX_TIME_STEPS).n_steps == MAX_TIME_STEPS
 
     def test_times_are_uniform(self):
         g = TimeGrid(0.0, 0.05, 1000)

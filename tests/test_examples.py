@@ -41,8 +41,7 @@ def test_every_scenario_has_an_example():
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)
-def test_example_runs_through_cli(path, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(harness.WORKER_ENV, "1")
+def test_example_runs_through_cli(path, tmp_path, capsys):
     scenario = json.loads(path.read_text())["scenario"]
     base = tmp_path / path.stem
     assert main([scenario, str(path), "grid.dt_ns=0.5", f"output={base}"]) == 0
@@ -69,8 +68,7 @@ DIRAC_EXIT = {
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)
-def test_example_on_the_dirac_line(path, tmp_path, monkeypatch):
-    monkeypatch.setenv(harness.WORKER_ENV, "1")
+def test_example_on_the_dirac_line(path, tmp_path):
     scenario = json.loads(path.read_text())["scenario"]
     base = tmp_path / path.stem
     code = main([scenario, str(path), "density.kind=delta", "grid.dt_ns=0.5",

@@ -3,7 +3,6 @@ and the physics-level behavior of each runner on small grids."""
 
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from cavityspin.harness import (
     ConfigError,
     ResultTable,
     ScenarioConfig,
-    WORKER_ENV,
     apply_assignment,
     config_hash,
     iter_assignments,
@@ -621,65 +619,20 @@ class TestLorentzAnalytic:
 
 
 class TestDeterminism:
-    def test_parallel_matches_serial_bytes(self, tmp_path, monkeypatch):
-        # The pool size follows the CPU count; reporting one or two CPUs
-        # runs the sweep serially or on a real two-worker pool, and
-        # ordered dispatch must make the bytes identical.
-        monkeypatch.delenv(WORKER_ENV, raising=False)
-        cfg = ScenarioConfig.from_mapping(base_mapping(
-            scenario="train-map",
-            drive={"kind": "train", "n_pulses": 4},
-            grid={"dt_ns": 0.1},
-            sweep=[{"parameter": "tau_ns", "values": [24.0, 30.0]}],
-        ))
-        for workers in (1, 2):
-            monkeypatch.setattr(os, "cpu_count", lambda: workers)
-            write_outputs(run_scenario(cfg), cfg, tmp_path / f"w{workers}")
-        csv_1 = (tmp_path / "w1.csv").read_bytes()
-        csv_2 = (tmp_path / "w2.csv").read_bytes()
-        assert csv_1 == csv_2
-        m1 = json.loads((tmp_path / "w1.manifest.json").read_text())
-        m2 = json.loads((tmp_path / "w2.manifest.json").read_text())
-        for manifest in (m1, m2):
-            manifest.pop("timings", None)
-        assert m1 == m2
-
-    def test_gamma_sweep_parallel_matches_serial_bytes(self, tmp_path, monkeypatch):
+    def test_gamma_sweep_bytes_do_not_depend_on_sweep_order(self):
         # Points from 15 MHz on ask for the same windows, so inside a run
-        # (and inside each forked worker) they share kernel tables; the
-        # bytes must not depend on which points shared, or in what order.
-        monkeypatch.delenv(WORKER_ENV, raising=False)
+        # they share kernel tables; the bytes must not depend on which
+        # points shared, or in what order.
         couplings = [15.0, 20.0, 25.0]
         tables = []
-        for workers, values in ((1, couplings), (2, couplings), (1, couplings[::-1])):
-            monkeypatch.setattr(os, "cpu_count", lambda: workers)
+        for values in (couplings, couplings[::-1]):
             cfg = ScenarioConfig.from_mapping(base_mapping(
                 scenario="gamma-sweep",
                 grid={"dt_ns": 0.5},
                 sweep=[{"parameter": "coupling_mhz", "values": values}],
             ))
-            table = run_scenario(cfg)
-            tables.append(table)
-            write_outputs(table, cfg, tmp_path / f"w{workers}-{values[0]}")
-        assert ((tmp_path / "w1-15.0.csv").read_bytes()
-                == (tmp_path / "w2-15.0.csv").read_bytes())
-        manifests = [json.loads((tmp_path / f"{name}.manifest.json").read_text())
-                     for name in ("w1-15.0", "w2-15.0")]
-        for manifest in manifests:
-            manifest.pop("timings", None)
-        assert manifests[0] == manifests[1]
-        assert tables[2].rows[::-1].tobytes() == tables[0].rows.tobytes()
-
-    def test_worker_env_cap_must_be_integer(self, monkeypatch):
-        monkeypatch.setenv(WORKER_ENV, "banana")
-        cfg = ScenarioConfig.from_mapping(base_mapping(
-            scenario="train-map",
-            drive={"kind": "train", "n_pulses": 2},
-            grid={"dt_ns": 0.2},
-            sweep=[{"parameter": "tau_ns", "values": [10.0, 20.0]}],
-        ))
-        with pytest.raises(ConfigError, match=WORKER_ENV):
-            run_scenario(cfg)
+            tables.append(run_scenario(cfg))
+        assert tables[1].rows[::-1].tobytes() == tables[0].rows.tobytes()
 
 
 class TestKernelShare:
@@ -688,7 +641,6 @@ class TestKernelShare:
         # it returns or raises, nothing is left to warm the next one.
         from cavityspin import laplace
 
-        monkeypatch.setenv(WORKER_ENV, "1")
         cfg = ScenarioConfig.from_mapping(base_mapping(
             scenario="gamma-sweep",
             grid={"dt_ns": 0.5},
