@@ -181,6 +181,9 @@ class DensitySpec:
         if kind not in ("qgauss", "lorentz", "delta"):
             raise ConfigError(f"density.kind must be qgauss|lorentz|delta, got {kind!r}")
         values = _floats(mapping, DensitySpec, "density", center_ghz=system.spin_ghz)
+        if values["center_ghz"] != system.spin_ghz:
+            raise ConfigError(f"density.center_ghz ({values['center_ghz']}) must equal "
+                              f"system.spin_ghz ({system.spin_ghz}): a line has one center")
         if kind in ("qgauss", "lorentz") and values["fwhm_mhz"] is None:
             raise ConfigError(f"density.fwhm_mhz is required for kind {kind!r}")
         if kind == "qgauss" and values["q"] is None:
@@ -736,7 +739,7 @@ class _Scenario:
                               f"got {config.density.kind!r}")
         if self.resonant:
             cavity = config.system.cavity_ghz
-            for field in ("system.spin_ghz", "system.probe_ghz", "density.center_ghz"):
+            for field in ("system.spin_ghz", "system.probe_ghz"):
                 if _field(config, field) != cavity:
                     raise ConfigError(
                         f"{name} is resonant: {field} must be {cavity}, "

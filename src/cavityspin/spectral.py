@@ -271,28 +271,37 @@ SpinDensity = QGaussianDensity | LorentzianDensity | DiracDeltaDensity
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Uniform trapezoid quadrature grid over a density's support."""
+    """Uniform trapezoid grid center + k d_omega, |k| <= n_half: a value, like
+    `TimeGrid`, whose node and weight arrays are derived on first use."""
 
-    omegas: np.ndarray
-    weights: np.ndarray
+    center: float
     d_omega: float
+    n_half: int
 
     def __post_init__(self):
-        if len(self.omegas) != len(self.weights):
-            raise ValueError("node/weight length mismatch")
-        if np.any(self.weights <= 0):
-            raise ValueError("quadrature weights must be positive")
-        if len(self.omegas) > 1:
-            steps = np.diff(self.omegas)
-            # Node coordinates can sit many orders of magnitude above the
-            # spacing, so the uniformity tolerance scales with both.
-            tol = 1e-9 * self.d_omega + 8 * np.finfo(float).eps * np.abs(self.omegas).max()
-            if np.abs(steps - self.d_omega).max() > tol:
-                raise ValueError("grid must be uniform")
+        if not self.d_omega > 0:
+            raise ValueError(f"d_omega must be positive, got {self.d_omega}")
+        if not (isinstance(self.n_half, int) and self.n_half >= 0):
+            raise ValueError(f"n_half must be a non-negative integer, got {self.n_half!r}")
+        if self.n > MAX_GRID_NODES:
+            raise ValueError(f"frequency grid of {self.n:,} nodes exceeds "
+                             f"the cap of {MAX_GRID_NODES:,}")
 
     @property
     def n(self) -> int:
-        return len(self.omegas)
+        return 2 * self.n_half + 1
+
+    @cached_property
+    def omegas(self) -> np.ndarray:
+        return self.center + self.d_omega * np.arange(-self.n_half, self.n_half + 1)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        weights = np.full(self.n, self.d_omega)
+        if self.n > 1:
+            weights[0] *= 0.5
+            weights[-1] *= 0.5
+        return weights
 
 
 def grid_for_density(density: SpinDensity, t_max: float | None = None) -> FrequencyGrid:
@@ -304,11 +313,7 @@ def grid_for_density(density: SpinDensity, t_max: float | None = None) -> Freque
     the simulated window. The center frequency always lands on a node.
     """
     if isinstance(density, DiracDeltaDensity):
-        return FrequencyGrid(
-            omegas=np.array([density.omega_s]),
-            weights=np.array([1.0]),
-            d_omega=1.0,
-        )
+        return FrequencyGrid(density.omega_s, 1.0, 0)
     d_omega = density.fwhm / _POINTS_PER_FWHM
     if t_max is not None and t_max > 0:
         d_omega = min(d_omega, math.pi / (4.0 * t_max))
@@ -325,15 +330,7 @@ def uniform_grid(center: float, d_omega: float, half_width: float) -> FrequencyG
     nodes for every delta (unless t_max tightens the spacing). A grid of
     more than MAX_GRID_NODES nodes raises ValueError.
     """
-    n_half = math.ceil(half_width / d_omega - _GRID_SNAP)
-    if 2 * n_half + 1 > MAX_GRID_NODES:
-        raise ValueError(f"frequency grid of {2 * n_half + 1:,} nodes exceeds "
-                         f"the cap of {MAX_GRID_NODES:,}")
-    omegas = center + d_omega * np.arange(-n_half, n_half + 1)
-    weights = np.full(len(omegas), d_omega)
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    return FrequencyGrid(omegas=omegas, weights=weights, d_omega=d_omega)
+    return FrequencyGrid(center, d_omega, math.ceil(half_width / d_omega - _GRID_SNAP))
 
 
 def normalize(density: SpinDensity) -> float:
@@ -341,7 +338,7 @@ def normalize(density: SpinDensity) -> float:
 
     The check sums the pdf over the nodes of `grid_for_density(density)`,
     the coarsest grid any solve of this density uses, so it needs the
-    memory that building that grid does. The exact tail mass beyond the
+    memory of that grid's node arrays. The exact tail mass beyond the
     support is added; the total must be 1 within _NORM_TOL. Truncation
     is a quadrature concern, not an evaluation concern, so the analytic
     constant is returned unchanged.
@@ -453,20 +450,19 @@ def _node_sum(coef: np.ndarray, grid: FrequencyGrid, offset: float, dt: float,
               n: int, start: int = 0) -> np.ndarray:
     """sum_i coef_i e^{-i (omega_i - offset) m dt} for m = start .. start+n-1.
 
-    Chirp-z form: with omega_i = omega_0 + k d_omega (k counted from the
-    centre node) and k m = (k^2 + m^2 - (m - k)^2) / 2, the node sum is
-    one FFT convolution with a chirp. The squares are exact integers
-    before they meet theta = d_omega dt.
+    Chirp-z form: with omega_i = center + k d_omega, |k| <= n_half, and
+    k m = (k^2 + m^2 - (m - k)^2) / 2, the node sum is one FFT
+    convolution with a chirp. The squares are exact integers before they
+    meet theta = d_omega dt.
     """
-    j0 = grid.n // 2
-    k = np.arange(grid.n) - j0
+    k = np.arange(-grid.n_half, grid.n_half + 1)
     m = np.arange(start, start + n)
-    d = np.arange(start - k[-1], start + n - k[0])
+    d = np.arange(start - grid.n_half, start + n + grid.n_half)
     # A one-node grid's d_omega is a placeholder; its chirp would only
     # add rounding.
     theta = grid.d_omega * dt if grid.n > 1 else 0.0
     size = _fast_len(n + grid.n - 1)
     spectrum = np.fft.fft(coef * np.exp(-0.5j * theta * (k * k)), size)
     spectrum *= np.fft.fft(np.exp(0.5j * theta * (d * d)), size)
-    phase = (grid.omegas[j0] - offset) * dt * m + 0.5 * theta * (m * m)
+    phase = (grid.center - offset) * dt * m + 0.5 * theta * (m * m)
     return np.exp(-1j * phase) * np.fft.ifft(spectrum)[grid.n - 1:grid.n - 1 + n]

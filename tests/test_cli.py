@@ -84,6 +84,19 @@ def test_unphysical_value_exits_1(small_config, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_line_center_is_one_number(small_config, capsys):
+    # The solvers read only the density's center: a system.spin_ghz that
+    # disagrees with it is refused, and spin_ghz alone still moves the line.
+    path, tmp_path = small_config
+    off = "system.spin_ghz=2.7015"
+    assert main(["long-pulse", str(path), off, "density.center_ghz=2.6915"]) == 1
+    err = capsys.readouterr().err
+    assert "density.center_ghz" in err and "system.spin_ghz" in err
+    assert main(["long-pulse", str(path), off, f"output={tmp_path / 'off'}"]) == 0
+    assert main(["long-pulse", str(path)]) == 0
+    assert (tmp_path / "off.csv").read_bytes() != (tmp_path / "run.csv").read_bytes()
+
+
 def test_missing_output_exits_1(small_config, capsys):
     path, tmp_path = small_config
     mapping = json.loads(path.read_text())

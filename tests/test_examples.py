@@ -1,6 +1,7 @@
-"""The shipped example configs and the config schema.
+"""The shipped example configs, the demos and the config schema.
 
-Every `docs/examples/*.json` runs through the CLI on a coarse grid, and
+Every `docs/examples/*.json` runs through the CLI on a coarse grid, every
+demo runs and prints its headline number, and
 `docs/config_schema.json` must describe the parser: the same scenarios,
 sweep parameters, group keys and defaults.
 """
@@ -77,16 +78,31 @@ def test_example_on_the_dirac_line(path, tmp_path):
     assert Path(f"{base}.csv").exists() == (code == 0)
 
 
-def test_resolvent_poles_demo_runs(tmp_path):
-    # The pole census over nine couplings and the 8.56 MHz reconstruction.
+# Each demo's headline number, as its docstring claims it: the pattern
+# that prints it and the check it must pass.
+DEMOS = {
+    "rabi_oscillations": (r"ring-down overshoot \(first post-pulse peak / steady\) = (\S+)",
+                          lambda x: 1.7 <= x <= 2.3),
+    "cavity_protection": (r"protection factor \(settled ratio\) = (\S+)",
+                          lambda x: x >= 10.0),
+    "pulse_train_revival": (r"resonant tau = (\S+) ns", lambda x: x == 52.0),
+    "decay_vs_coupling": (r"fit at 25 MHz / fit maximum = (\S+);", lambda x: x < 0.5),
+    "resolvent_poles": (r"at 8\.56 MHz: L-inf relative error (\S+)", lambda x: x < 1e-3),
+}
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo, tmp_path):
+    # Every demo runs without matplotlib and prints its headline number.
     src = str(Path(cavityspin.__file__).resolve().parent.parent)
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "resolvent_poles.py")],
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{demo}.py")],
                           cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    err = re.search(r"at 8\.56 MHz: L-inf relative error (\S+)", proc.stdout)
-    assert err and float(err.group(1)) < 1e-3, proc.stdout
+    pattern, holds = DEMOS[demo]
+    found = re.search(pattern, proc.stdout)
+    assert found and holds(float(found.group(1))), proc.stdout
 
 
 SCHEMA = json.loads((DOCS / "config_schema.json").read_text())

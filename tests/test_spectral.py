@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.special import gammaln
 
 from cavityspin import (
     DiracDeltaDensity,
+    FrequencyGrid,
     LorentzianDensity,
     QGaussianDensity,
     angular_to_mhz,
@@ -231,6 +233,55 @@ class TestFrequencyGrid:
                 check_default_grid(outside)
         for q in (1.0058, 1.01, Q_SHAPE, 1.85):
             check_default_grid(q)
+
+    def test_nodes_and_weights_keep_their_bits(self, qg):
+        # The grid derives its arrays from (center, d_omega, n_half) with
+        # the expressions it was once built from: the canonical grid, the
+        # 40,001-node Lorentzian twin and a cut grid widened past a
+        # narrow line's support.
+        twin = LorentzianDensity(OMEGA_C, mhz_to_angular(4.598))
+        narrow = QGaussianDensity(OMEGA_C, Q_SHAPE, delta_from_fwhm(Q_SHAPE, mhz_to_angular(0.5)))
+        p = resonant_system(25.0)
+        cases = [
+            (grid_for_density(qg), qg.fwhm / 200, qg.half_width),
+            (grid_for_density(twin, t_max=1365.0), twin.fwhm / 200, twin.half_width),
+            (laplace._cut_grid(p, narrow, 300.0), narrow.fwhm / 200, 2.0 * p.Omega),
+        ]
+        assert cases[1][0].n == 40_001
+        assert cases[2][0].n > grid_for_density(narrow, 300.0).n
+        for grid, d_omega, half_width in cases:
+            assert grid == uniform_grid(OMEGA_C, d_omega, half_width)
+            n_half = math.ceil(half_width / d_omega - _GRID_SNAP)
+            omegas = OMEGA_C + d_omega * np.arange(-n_half, n_half + 1)
+            weights = np.full(len(omegas), d_omega)
+            weights[0] *= 0.5
+            weights[-1] *= 0.5
+            assert grid.omegas.tobytes() == omegas.tobytes()
+            assert grid.weights.tobytes() == weights.tobytes()
+
+    def test_equal_grids_are_equal_values(self, qg):
+        a, b = grid_for_density(qg), grid_for_density(qg)
+        a.omegas  # the cached arrays are not part of the value
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+        assert a != grid_for_density(qg, t_max=10_000.0)
+
+    def test_grid_over_cap_raises_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds the cap"):
+                FrequencyGrid(OMEGA_C, 1e-3, MAX_GRID_NODES // 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert FrequencyGrid(OMEGA_C, 1e-3, MAX_GRID_NODES // 2 - 1).n == MAX_GRID_NODES - 1
+
+    @pytest.mark.parametrize("d_omega, n_half", [
+        (0.0, 1), (-1e-3, 1), (math.nan, 1), (1e-3, -1), (1e-3, 1.5)])
+    def test_degenerate_grid_is_refused(self, d_omega, n_half):
+        with pytest.raises(ValueError, match="d_omega must be positive|n_half must be"):
+            FrequencyGrid(OMEGA_C, d_omega, n_half)
 
     def test_node_cap_counts_both_halves(self):
         d_omega = 1e-3
