@@ -28,7 +28,7 @@ config = ScenarioConfig.from_mapping({
     "scenario": "gamma-sweep",
     "system": {"cavity_ghz": 2.6915, "kappa_mhz": 0.8, "coupling_mhz": 8.56},
     "density": {"kind": "qgauss", "q": 1.39, "fwhm_mhz": 9.4},
-    "grid": {"dt_ns": 0.2, "t_end_ns": 100.0},
+    "grid": {"dt_ns": 0.2},
     "sweep": [{"parameter": "coupling_mhz", "values": couplings}],
 })
 

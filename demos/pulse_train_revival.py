@@ -22,7 +22,7 @@ config = ScenarioConfig.from_mapping({
     "scenario": "train-map",
     "system": {"cavity_ghz": 2.6915, "kappa_mhz": 0.8, "coupling_mhz": 8.56},
     "density": {"kind": "qgauss", "q": 1.39, "fwhm_mhz": 9.4},
-    "drive": {"kind": "train", "tau_ns": 52.0, "n_pulses": 11},
+    "drive": {"kind": "train", "n_pulses": 11},
     "grid": {"dt_ns": 0.2},
     "sweep": [{"parameter": "tau_ns", "values": taus}],
 })

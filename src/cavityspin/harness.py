@@ -42,11 +42,11 @@ from .core import (
     rect_pulse,
 )
 from .spectral import (
+    MAX_GRID_NODES,
     DiracDeltaDensity,
     LorentzianDensity,
     QGaussianDensity,
     SpinDensity,
-    check_default_grid,
     delta_from_fwhm,
     grid_for_density,
     normalize,
@@ -195,17 +195,25 @@ class DensitySpec:
         return DensitySpec(kind=kind, **values)
 
     def build(self) -> SpinDensity:
+        # A line is refused if its default grid, the coarsest any solve uses,
+        # exceeds the node cap (only a q-Gaussian's can) or overflows a float.
         center = ghz_to_angular(self.center_ghz)
         try:
             if self.kind == "qgauss":
                 width = delta_from_fwhm(self.q, mhz_to_angular(self.fwhm_mhz))
-                check_default_grid(self.q)
-                return QGaussianDensity(center, self.q, width)
-            if self.kind == "lorentz":
-                return LorentzianDensity(center, mhz_to_angular(self.fwhm_mhz) / 2.0)
-            return DiracDeltaDensity(center)
+                density = QGaussianDensity(center, self.q, width)
+            elif self.kind == "lorentz":
+                density = LorentzianDensity(center, mhz_to_angular(self.fwhm_mhz) / 2.0)
+            else:
+                density = DiracDeltaDensity(center)
         except ValueError as exc:
             raise ConfigError(f"density config rejected: {exc}") from exc
+        try:
+            grid_for_density(density)
+        except (ValueError, ArithmeticError) as exc:
+            raise ConfigError(f"density.q = {self.q} (fwhm {self.fwhm_mhz} MHz) needs a default "
+                              f"frequency grid of more than {MAX_GRID_NODES:,} nodes") from exc
+        return density
 
 
 @dataclass(frozen=True)
@@ -319,8 +327,10 @@ class ScenarioConfig:
         scenario = mapping.get("scenario")
         if scenario not in SCENARIOS:
             raise ConfigError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
-        system = SystemSpec.from_mapping(mapping.get("system") or {})
-        sweep_raw = mapping.get("sweep") or []
+        # Only a missing key or null leaves a section at its defaults.
+        mapping = {key: value for key, value in mapping.items() if value is not None}
+        system = SystemSpec.from_mapping(mapping.get("system", {}))
+        sweep_raw = mapping.get("sweep", [])
         if not isinstance(sweep_raw, (list, tuple)):
             raise ConfigError("sweep must be a list of axes")
         output = mapping.get("output")
@@ -331,11 +341,11 @@ class ScenarioConfig:
         config = ScenarioConfig(
             scenario=scenario,
             system=system,
-            density=DensitySpec.from_mapping(mapping.get("density") or {}, system),
-            drive=DriveSpec.from_mapping(mapping.get("drive") or {}),
-            grid=GridSpec.from_mapping(mapping.get("grid") or {}),
+            density=DensitySpec.from_mapping(mapping.get("density", {}), system),
+            drive=DriveSpec.from_mapping(mapping.get("drive", {})),
+            grid=GridSpec.from_mapping(mapping.get("grid", {})),
             sweep=tuple(SweepSpec.from_mapping(ax) for ax in sweep_raw),
-            compare=CompareSpec.from_mapping(mapping.get("compare") or {}),
+            compare=CompareSpec.from_mapping(mapping.get("compare", {})),
             output=output,
         )
         # Constructor-validate the base point and every sweep point now,

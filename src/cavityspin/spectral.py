@@ -38,7 +38,7 @@ _GRID_SNAP = 1e-6
 # keeps one complex node array at 64 MiB, so a chirp-z sum stays within a
 # few hundred MiB. The q-Gaussian support grows without bound as q -> 2
 # (1.3e8 nodes at q = 2.0, 1.1e11 at q = 2.2): such a grid is refused
-# before anything is allocated.
+# by `FrequencyGrid` before anything is allocated, at config parse too.
 MAX_GRID_NODES = 2**22
 
 
@@ -86,52 +86,6 @@ def _log_support(q: float) -> float:
     log_c = math.lgamma(p) - math.lgamma(p - 0.5) + 0.5 * math.log(q1 / math.pi)
     log_amp = math.log(2.0 / (QGAUSS_TAIL_MASS * (2.0 * p - 1.0))) + log_c - p * math.log(q1)
     return log_amp / (2.0 * p - 1.0)
-
-
-def _log_default_half_nodes(q: float) -> float:
-    """log(W / d_omega) on a q-Gaussian's default grid (d_omega =
-    FWHM / _POINTS_PER_FWHM): about half its node count, for q only."""
-    return _log_support(q) + math.log(_POINTS_PER_FWHM / fwhm_relation(q, 1.0))
-
-
-# The default grid fits under MAX_GRID_NODES while W / d_omega stays here.
-_LOG_MAX_HALF_NODES = math.log((MAX_GRID_NODES - 1) // 2)
-
-
-def _grid_edge(fits: float, misses: float) -> float:
-    """Bisect between a q whose default grid fits and one whose grid does
-    not, to the last q (within 1e-13) that fits."""
-    while abs(fits - misses) > 1e-13:
-        mid = 0.5 * (fits + misses)
-        if _log_default_half_nodes(mid) <= _LOG_MAX_HALF_NODES:
-            fits = mid
-        else:
-            misses = mid
-    return fits
-
-
-@cache
-def default_grid_q_range() -> tuple[float, float]:
-    """Smallest and largest q whose default grid fits under MAX_GRID_NODES.
-
-    The node count falls with q down to its minimum near q = 1.076 (the
-    support rule's power-law tail widens toward the Gaussian limit) and
-    grows without bound toward q = 2; q = 1.5 fits.
-    """
-    return _grid_edge(1.5, 1.0), _grid_edge(1.5, 3.0)
-
-
-def check_default_grid(q: float) -> None:
-    """Raise ValueError for a q-Gaussian whose default grid would exceed
-    MAX_GRID_NODES, which no solve of it could build at any width."""
-    _check_q(q)
-    if _log_default_half_nodes(q) > _LOG_MAX_HALF_NODES:
-        lo, hi = default_grid_q_range()
-        raise ValueError(
-            f"q = {q} needs a default frequency grid (FWHM/{_POINTS_PER_FWHM} spacing) "
-            f"of more than {MAX_GRID_NODES:,} nodes; the largest admissible q is "
-            f"{math.floor(hi * 1e4) / 1e4} (the smallest "
-            f"{1.0 + math.ceil((lo - 1.0) * 1e12) / 1e12})")
 
 
 @dataclass(frozen=True)

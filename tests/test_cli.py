@@ -146,6 +146,30 @@ def test_non_finite_number_exits_1(tmp_path, capsys, scenario, example, override
     assert not (tmp_path / "run.csv").exists()
 
 
+@pytest.mark.parametrize("scenario,example,override,code", [
+    ("train-map", "train_map.json", "grid=0", 1),
+    ("train-map", "train_map.json", "grid=[]", 1),
+    ("gamma-sweep", "gamma_sweep.json", "grid=0", 1),
+    ("gamma-sweep", "gamma_sweep.json", "drive=false", 1),
+    ("gamma-sweep", "gamma_sweep.json", 'drive=""', 1),
+    ("gamma-sweep", "gamma_sweep.json", "compare=[]", 1),
+    ("long-pulse", "long_pulse.json", "sweep={}", 1),
+    ("long-pulse", "long_pulse.json", "sweep=0", 1),
+    ("long-pulse", "long_pulse.json", 'sweep=""', 1),
+    ("train-map", "train_map.json", "grid=null", 0),
+    ("train-map", "train_map.json", "grid={}", 0),
+])
+def test_falsy_section_is_not_read_as_defaults(tmp_path, capsys, scenario, example,
+                                               override, code):
+    # Only a missing section or null means "use the defaults"; 0, false,
+    # "" or [] for an object and {} for the sweep list are refused.
+    config = EXAMPLES[0].parent / example
+    assert main([scenario, str(config), override, f"output={tmp_path / 'run'}"]) == code
+    assert (tmp_path / "run.csv").exists() == (code == 0)
+    if code:
+        assert f"config error: {override.split('=')[0]} must be" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("output", ["", "out/", ".", "out/.."])
 def test_empty_output_basename_exits_1(small_config, capsys, monkeypatch, output):
     # Without a file name the run would write hidden ".csv" (or "..csv")
@@ -214,7 +238,8 @@ def test_line_without_a_buildable_grid_exits_1(small_config, capsys, q):
     path, tmp_path = small_config
     assert main(["long-pulse", str(path), f"density.q={q}"]) == 1
     err = capsys.readouterr().err
-    assert "config error" in err and "largest admissible q is 1.8518" in err
+    assert "config error" in err and f"density.q = {q} " in err and "4,194,304 nodes" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "run.csv").exists()
 
 

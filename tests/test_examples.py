@@ -138,3 +138,29 @@ def test_schema_keys_and_defaults_match_parser(node, spec):
         for name, field in fields.items():
             if field.default not in (dataclasses.MISSING, None):
                 assert node["properties"][name].get("default") == field.default, name
+
+
+# The admissible q range, as the schema quotes it: the smallest and the
+# largest q whose default frequency grid fits under the node cap.
+Q_LO, Q_HI = (float(end) for end in re.search(
+    r"q must lie in \[([\d.]+), ([\d.]+)\]",
+    SCHEMA["properties"]["density"]["properties"]["q"]["description"]).groups())
+
+
+@pytest.mark.parametrize("fwhm_mhz", [0.5, 9.4, 100.0])
+@pytest.mark.parametrize("q, builds", [
+    (Q_LO, True), (Q_HI, True), (1.0058, True), (1.01, True), (1.39, True), (1.85, True),
+    (Q_LO - 1e-12, False), (Q_HI + 1e-4, False),
+], ids=["lower-end", "upper-end", "1.0058", "1.01", "1.39", "1.85", "below", "above"])
+def test_schema_q_range_meets_the_grid_cap(q, builds, fwhm_mhz):
+    # Each quoted end builds and a q just outside it is refused at every
+    # width: the default grid's node count depends on q only.
+    system = harness.SystemSpec.from_mapping({"cavity_ghz": 2.6915, "kappa_mhz": 0.8,
+                                              "coupling_mhz": 8.56})
+    spec = harness.DensitySpec.from_mapping(
+        {"kind": "qgauss", "q": q, "fwhm_mhz": fwhm_mhz}, system)
+    if builds:
+        assert spec.build().q == q
+    else:
+        with pytest.raises(harness.ConfigError, match="4,194,304 nodes"):
+            spec.build()

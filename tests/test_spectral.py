@@ -26,8 +26,6 @@ from cavityspin.spectral import (
     _GRID_SNAP,
     MAX_GRID_NODES,
     _fast_len,
-    check_default_grid,
-    default_grid_q_range,
     lamb_shift_nodes,
     qgauss_norm,
     uniform_grid,
@@ -214,25 +212,6 @@ class TestFrequencyGrid:
         line = QGaussianDensity(OMEGA_C, q, delta_from_fwhm(q, FWHM))
         with pytest.raises(ValueError, match="nodes exceeds the cap"):
             grid_for_density(line)
-
-    def test_default_grid_q_range_meets_the_cap(self):
-        # Just inside each end of the range the default grid's node count
-        # (the rule of uniform_grid, counted without allocating) is within
-        # the cap, just outside past it. Near q = 1 the FWHM relation
-        # loses digits to cancellation, so that end is probed 1e-12 away.
-        def nodes(q):
-            line = QGaussianDensity(OMEGA_C, q, delta_from_fwhm(q, FWHM))
-            return 2 * math.ceil(line.half_width / (line.fwhm / 200) - _GRID_SNAP) + 1
-
-        lo, hi = default_grid_q_range()
-        assert 1.8518 < hi < 1.8519 and 1.0 < lo < 1.0 + 1e-8
-        for inside, outside in ((hi, hi + 1e-9), (lo + 1e-12, lo - 1e-12)):
-            assert nodes(inside) <= MAX_GRID_NODES < nodes(outside)
-            check_default_grid(inside)
-            with pytest.raises(ValueError, match="largest admissible q is 1.8518"):
-                check_default_grid(outside)
-        for q in (1.0058, 1.01, Q_SHAPE, 1.85):
-            check_default_grid(q)
 
     def test_nodes_and_weights_keep_their_bits(self, qg):
         # The grid derives its arrays from (center, d_omega, n_half) with
