@@ -131,8 +131,6 @@ class DriveProtocol:
 
 def rect_pulse(eta: complex, tau_d: float) -> DriveProtocol:
     """Single rectangular pulse of amplitude eta and duration tau_d."""
-    if not tau_d > 0:
-        raise ValueError(f"tau_d must be positive, got {tau_d}")
     return DriveProtocol(((float(tau_d), complex(eta)),))
 
 
@@ -142,8 +140,6 @@ def phase_switched_train(eta: complex, tau: float, n_pulses: int) -> DriveProtoc
     """
     if n_pulses < 1:
         raise ValueError(f"n_pulses must be >= 1, got {n_pulses}")
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
     eta = complex(eta)
     return DriveProtocol(
         tuple((float(tau), eta if n % 2 == 0 else -eta) for n in range(n_pulses))

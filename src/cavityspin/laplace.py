@@ -41,7 +41,7 @@ import cmath
 import logging
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,14 +59,6 @@ from .spectral import (
 
 log = logging.getLogger(__name__)
 
-# Estimator labels carried by DecayRateEstimate.method.
-TIME_FIT = "TimeFit"
-MARKOV = "Markov"
-ASYMPTOTIC = "Asymptotic"
-LORENTZ_FORMULA = "LorentzFormula"
-NO_BROADENING = "NoBroadening"
-_METHODS = (TIME_FIT, MARKOV, ASYMPTOTIC, LORENTZ_FORMULA, NO_BROADENING)
-
 _MAX_ITER = 400
 _DAMPING = 0.5
 _POLE_TOL = 1e-10
@@ -76,7 +68,8 @@ _DEDUPE_TOL = 1e-6
 _SIGMA_FLOOR = 1e-6
 
 _PEAK_FLOOR = 1e-12
-_PEAK_DECADES = 1e-3
+# Three decades: the intensity drop a free decay must show, and the peaks a fit keeps.
+_ENVELOPE_DROP = 1e-3
 _FIT_WINDOW = (1e-6, 1e-1)
 # Largest |A(0) - 1| that invert accepts silently from its own poles.
 _CLOSURE_TOL = 1e-3
@@ -110,15 +103,12 @@ class PoleSolution:
 
 @dataclass(frozen=True)
 class DecayRateEstimate:
-    """An intensity decay rate with the method that produced it."""
+    """An intensity decay rate and a note on how it was obtained."""
 
     gamma: float
-    method: str
-    note: str = ""
+    note: str
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
         if not self.gamma >= 0:
             raise ValueError(f"decay rate must be >= 0, got {self.gamma}")
 
@@ -469,11 +459,28 @@ def intensity_peaks(a2: np.ndarray) -> np.ndarray:
     return idx[a2[idx] > _PEAK_FLOOR * a2[0]]
 
 
+def envelope_floor_reached(a2: np.ndarray) -> bool:
+    """Whether a free decay's |A|^2 envelope has dropped three decades.
+
+    The envelope is read over the last tenth of the trace, reaching back
+    to its last interior maximum: a trace that ends inside a node is near
+    zero there, but the peak before the node is not. A trace past a node
+    with no later peak, its end rising, has not shown its envelope yet.
+    """
+    start = len(a2) - max(1, len(a2) // 10)
+    peaks = intensity_peaks(a2)
+    if len(peaks):
+        start = min(start, peaks[-1])
+    past_node = not len(peaks) and a2[-1] > a2[-2]
+    return not past_node and a2[start:].max() <= _ENVELOPE_DROP * a2[0]
+
+
 def decay_rate_timefit(series: ComplexSeries) -> DecayRateEstimate:
     """Fit an intensity decay rate from a simulated trace.
 
     Oscillatory traces (at least three |A|^2 maxima above the noise floor
-    and within three decades of the strongest) get a log-linear fit
+    and within three decades of the strongest, the drop that
+    `envelope_floor_reached` asks of a free decay) get a log-linear fit
     through the peak sequence. A trace that revives from a node but has
     fewer such maxima gets a log-linear fit through its envelope: the
     t = 0 sample plus every interior maximum above the noise floor.
@@ -488,7 +495,7 @@ def decay_rate_timefit(series: ComplexSeries) -> DecayRateEstimate:
         raise ValueError("trace starts at zero intensity")
 
     peaks = intensity_peaks(a2)
-    idx = peaks[a2[peaks] > _PEAK_DECADES * a2[peaks].max()] if len(peaks) else peaks
+    idx = peaks[a2[peaks] > _ENVELOPE_DROP * a2[peaks].max()] if len(peaks) else peaks
 
     if len(idx) >= 3:
         slope = np.polyfit(t[idx], np.log(a2[idx]), 1)[0]
@@ -515,14 +522,14 @@ def decay_rate_timefit(series: ComplexSeries) -> DecayRateEstimate:
 
     if not slope < 0:
         raise ValueError("trace does not decay")
-    return DecayRateEstimate(gamma=-slope, method=TIME_FIT, note=note)
+    return DecayRateEstimate(gamma=-slope, note=note)
 
 
 def gamma_markov(params: SystemParams, density: SpinDensity) -> DecayRateEstimate:
     """Golden-rule intensity rate 2*(kappa + pi*Omega^2*rho(omega_s))."""
     _require_resonant(params, density)
     rate = 2.0 * (params.kappa + math.pi * params.Omega**2 * density.pdf(params.omega_s))
-    return DecayRateEstimate(gamma=rate, method=MARKOV, note="weak coupling")
+    return DecayRateEstimate(gamma=rate, note="weak coupling")
 
 
 def gamma_asymptotic(params: SystemParams, density: SpinDensity) -> DecayRateEstimate:
@@ -537,7 +544,7 @@ def gamma_asymptotic(params: SystemParams, density: SpinDensity) -> DecayRateEst
     rate = params.kappa + math.pi * params.Omega**2 * density.pdf(
         params.omega_c + params.Omega
     )
-    return DecayRateEstimate(gamma=rate, method=ASYMPTOTIC, note="strong coupling")
+    return DecayRateEstimate(gamma=rate, note="strong coupling")
 
 
 def gamma_lorentz_formula(
@@ -555,12 +562,12 @@ def gamma_lorentz_formula(
     if disc >= 0:
         root = math.sqrt(disc)
         return (
-            DecayRateEstimate(base - root, LORENTZ_FORMULA, "overdamped, slow"),
-            DecayRateEstimate(base + root, LORENTZ_FORMULA, "overdamped, fast"),
+            DecayRateEstimate(base - root, "overdamped, slow"),
+            DecayRateEstimate(base + root, "overdamped, fast"),
         )
     freq = math.sqrt(-disc)
     return (
-        DecayRateEstimate(base, LORENTZ_FORMULA, f"underdamped, Rabi {freq:g} rad/ns"),
+        DecayRateEstimate(base, f"underdamped, Rabi {freq:g} rad/ns"),
     )
 
 
@@ -572,5 +579,4 @@ def gamma_no_broadening(Omega: float, kappa: float) -> tuple[DecayRateEstimate, 
     rate kappa above it with vacuum Rabi frequency sqrt(4*Omega^2 -
     kappa^2).
     """
-    return tuple(replace(e, method=NO_BROADENING)
-                 for e in gamma_lorentz_formula(Omega, 0.0, kappa))
+    return gamma_lorentz_formula(Omega, 0.0, kappa)

@@ -40,6 +40,9 @@ _GRID_SNAP = 1e-6
 # (1.3e8 nodes at q = 2.0, 1.1e11 at q = 2.2): such a grid is refused
 # by `FrequencyGrid` before anything is allocated, at config parse too.
 MAX_GRID_NODES = 2**22
+# Largest float step at a grid's outermost node, in node spacings: no
+# node is rounded by more than this share of d_omega.
+_NODE_ROUNDING = 1e-6
 
 
 def fwhm_relation(q: float, delta: float) -> float:
@@ -240,6 +243,10 @@ class FrequencyGrid:
         if self.n > MAX_GRID_NODES:
             raise ValueError(f"frequency grid of {self.n:,} nodes exceeds "
                              f"the cap of {MAX_GRID_NODES:,}")
+        edge = abs(self.center) + self.n_half * self.d_omega
+        if math.ulp(edge) > _NODE_ROUNDING * self.d_omega:
+            raise FloatingPointError(f"spacing {self.d_omega:g} is below the float "
+                                     f"resolution at {edge:g}")
 
     @property
     def n(self) -> int:

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +241,23 @@ def test_line_without_a_buildable_grid_exits_1(small_config, capsys, q):
     err = capsys.readouterr().err
     assert "config error" in err and f"density.q = {q} " in err and "4,194,304 nodes" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.parametrize("kind, fwhm_mhz", [
+    ("qgauss", 1e-14), ("qgauss", 1e-310), ("lorentz", 1e-300), ("lorentz", 1e-320)])
+def test_line_too_narrow_for_its_grid_exits_1(small_config, capsys, kind, fwhm_mhz):
+    # Spacings of FWHM/200 that floats cannot place around 2.6915 GHz:
+    # nodes rounded onto each other (1e-14), subnormal widths (1e-310,
+    # 1e-300) and a spacing that underflows to 0 (1e-320). Each is the
+    # width's fault, not the shape's, and none may reach the solver.
+    path, tmp_path = small_config
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["long-pulse", str(path), f"density.kind={kind}",
+                     f"density.fwhm_mhz={fwhm_mhz}"]) == 1
+    err = capsys.readouterr().err
+    assert f"density.fwhm_mhz = {fwhm_mhz} " in err and "density.kind=delta" in err
     assert not (tmp_path / "run.csv").exists()
 
 

@@ -14,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cavityspin
@@ -76,6 +77,31 @@ def test_example_on_the_dirac_line(path, tmp_path):
                  f"output={base}"])
     assert code == DIRAC_EXIT[scenario]
     assert Path(f"{base}.csv").exists() == (code == 0)
+
+
+@pytest.mark.parametrize("kind", ["qgauss", "lorentz"])
+def test_narrow_line_meets_the_dirac_line(kind, tmp_path):
+    # A 1 kHz line against the unbroadened one over 5 ns. The grid leaves
+    # the line's tail_mass() out, so the collective spin J and its square
+    # fall short by about 1 and 2 * tail_mass(): 1e-6 of a q-Gaussian,
+    # 3.2e-3 of a Lorentzian.
+    config = DOCS / "examples" / "long_pulse.json"
+
+    def run(*overrides):
+        base = tmp_path / "run"
+        assert main(["long-pulse", str(config), "grid.t_end_ns=5", *overrides,
+                     f"output={base}"]) == 0
+        return np.loadtxt(f"{base}.csv", delimiter=",", skiprows=1)
+
+    dirac = run("density.kind=delta")
+    line = run(f"density.kind={kind}", "density.fwhm_mhz=1e-3")
+    mapping = json.loads(config.read_text())
+    tail = harness.DensitySpec.from_mapping(
+        {**mapping["density"], "kind": kind, "fwhm_mhz": 1e-3},
+        harness.SystemSpec.from_mapping(mapping["system"])).build().tail_mass()
+    gap = np.abs(line - dirac).max(axis=0) / np.abs(dirac).max(axis=0)
+    assert gap[1] < 2 * tail  # |A|^2
+    assert gap[2] < 1.1 * 2 * tail  # Jx2
 
 
 # Each demo's headline number, as its docstring claims it: the pattern
@@ -164,3 +190,23 @@ def test_schema_q_range_meets_the_grid_cap(q, builds, fwhm_mhz):
     else:
         with pytest.raises(harness.ConfigError, match="4,194,304 nodes"):
             spec.build()
+
+
+# The smallest line width the schema quotes, at a 2.6915 GHz center.
+FWHM_MIN = float(re.search(
+    r"smallest admissible width is ([\d.e-]+) MHz",
+    SCHEMA["properties"]["density"]["properties"]["fwhm_mhz"]["description"]).group(1))
+
+
+@pytest.mark.parametrize("kind", ["qgauss", "lorentz"])
+def test_schema_width_floor_meets_the_grid_rule(kind):
+    system = harness.SystemSpec.from_mapping({"cavity_ghz": 2.6915, "kappa_mhz": 0.8,
+                                              "coupling_mhz": 8.56})
+
+    def build(fwhm_mhz):
+        return harness.DensitySpec.from_mapping(
+            {"kind": kind, "q": 1.39, "fwhm_mhz": fwhm_mhz}, system).build()
+
+    build(FWHM_MIN)
+    with pytest.raises(harness.ConfigError, match="density.fwhm_mhz .* density.kind=delta"):
+        build(FWHM_MIN * (1 - 1e-3))

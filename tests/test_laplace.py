@@ -245,11 +245,9 @@ class TestTypes:
             laplace.PoleSolution(sigma=1e-3, omega=-OMEGA_C, residue=1.0, residual=0.0)
 
     def test_estimate_validation(self):
-        with pytest.raises(ValueError, match="method"):
-            laplace.DecayRateEstimate(gamma=1.0, method="Guesswork")
         with pytest.raises(ValueError, match=">= 0"):
-            laplace.DecayRateEstimate(gamma=-1.0, method=laplace.MARKOV)
-        est = laplace.DecayRateEstimate(gamma=0.0, method=laplace.NO_BROADENING)
+            laplace.DecayRateEstimate(gamma=-1.0, note="weak coupling")
+        est = laplace.DecayRateEstimate(gamma=0.0, note="no decay")
         assert est.gamma == 0.0
 
 
@@ -415,7 +413,6 @@ class TestTimeFit:
         t = tgrid.times()
         series = ComplexSeries(grid=tgrid, values=np.exp(-KAPPA * t))
         est = laplace.decay_rate_timefit(series)
-        assert est.method == laplace.TIME_FIT
         assert est.gamma == pytest.approx(2 * KAPPA, rel=1e-3)
         # No node, no interior maximum: the window path.
         assert len(laplace.intensity_peaks(series.abs2())) == 0
@@ -468,6 +465,37 @@ class TestTimeFit:
         vals = np.exp(-KAPPA * tgrid.times())
         with pytest.raises(ValueError):
             laplace.decay_rate_timefit(ComplexSeries(grid=tgrid, values=vals))
+
+
+class TestEnvelopeFloor:
+    """The three-decade rule that gamma-sweep grows its free-decay
+    windows by, on synthetic amplitudes over t in [0, 1]."""
+
+    T = np.linspace(0.0, 1.0, 2001)
+
+    def test_smooth_decay_below_the_floor(self):
+        assert laplace.envelope_floor_reached(np.exp(-10.0 * self.T))
+
+    def test_decay_short_of_three_decades(self):
+        assert not laplace.envelope_floor_reached(np.exp(-2.0 * self.T))
+
+    @pytest.mark.parametrize("revival, reached", [(0.3, False), (0.01, True)])
+    def test_trace_ending_inside_a_node_reads_its_last_peak(self, revival, reached):
+        # A plunge through a node, one revival of amplitude ``revival``
+        # at t = 0.5, and a node again at the end: the last tenth alone is
+        # below the floor, so only the peak before it can tell.
+        a2 = (np.exp(-30.0 * self.T) - revival * np.sin(np.pi * self.T) ** 3) ** 2
+        assert a2[int(0.9 * len(a2)):].max() < 1e-3
+        assert len(laplace.intensity_peaks(a2)) == 1
+        assert laplace.envelope_floor_reached(a2) == reached
+
+    def test_trace_past_a_node_without_a_peak_has_not_reached_it(self):
+        # Through a node at t = 0.9 and rising toward a revival it has not
+        # reached; the last tenth is 15 decades down.
+        a2 = (np.exp(-20.0 * self.T) - math.exp(-18.0)) ** 2
+        assert a2[int(0.9 * len(a2)):].max() < 1e-15
+        assert len(laplace.intensity_peaks(a2)) == 0
+        assert not laplace.envelope_floor_reached(a2)
 
 
 class TestFormulaEstimators:

@@ -24,6 +24,7 @@ from cavityspin import (
 from cavityspin import laplace
 from cavityspin.spectral import (
     _GRID_SNAP,
+    _NODE_ROUNDING,
     MAX_GRID_NODES,
     _fast_len,
     lamb_shift_nodes,
@@ -261,6 +262,14 @@ class TestFrequencyGrid:
     def test_degenerate_grid_is_refused(self, d_omega, n_half):
         with pytest.raises(ValueError, match="d_omega must be positive|n_half must be"):
             FrequencyGrid(OMEGA_C, d_omega, n_half)
+
+    def test_spacing_below_float_resolution_is_refused(self):
+        # Floats step by math.ulp(OMEGA_C) = 3.6e-15 rad/ns near the line
+        # center; a spacing must span _NODE_ROUNDING**-1 of those steps.
+        least = math.ulp(OMEGA_C) / _NODE_ROUNDING
+        assert FrequencyGrid(OMEGA_C, least, 1000).n == 2001
+        with pytest.raises(FloatingPointError, match="float resolution"):
+            FrequencyGrid(OMEGA_C, 0.99 * least, 1000)
 
     def test_node_cap_counts_both_halves(self):
         d_omega = 1e-3

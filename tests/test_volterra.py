@@ -477,7 +477,7 @@ class TestDiracRabiOracle:
             assert 3.5 < coarse / fine < 4.5
 
 
-class TestSegmentedVsDirect:
+class TestToeplitzVsDirect:
     """The Toeplitz solve must reproduce the step-by-step full-history
     trapezoid rule; they are the same discretization solved two ways."""
 
