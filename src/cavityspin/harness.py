@@ -190,13 +190,22 @@ class DensitySpec:
             values["q"] = None
         if kind == "delta":
             values["fwhm_mhz"] = None
+        elif values["fwhm_mhz"] < 0:
+            raise ConfigError(f"density.fwhm_mhz must be positive, got {values['fwhm_mhz']}")
         return DensitySpec(kind=kind, **values)
 
     def build(self) -> SpinDensity:
         # A line is refused if its default grid, the coarsest any solve uses,
         # exceeds the node cap (only a q-Gaussian's can) or overflows a float,
-        # or if floats cannot place its nodes (a spacing of 0 included).
+        # or if floats cannot place its nodes (a spacing of 0 included). A
+        # width that is 0 rad/ns, as read or after the unit change, is such a
+        # line too, and never reaches the shapes' own width checks.
         center = ghz_to_angular(self.center_ghz)
+        too_narrow = ConfigError(f"density.fwhm_mhz = {self.fwhm_mhz} is too narrow for a "
+                                 f"frequency grid at {self.center_ghz} GHz; use "
+                                 f"density.kind=delta for an unbroadened line")
+        if self.kind != "delta" and mhz_to_angular(self.fwhm_mhz) == 0.0:
+            raise too_narrow
         try:
             if self.kind == "qgauss":
                 width = delta_from_fwhm(self.q, mhz_to_angular(self.fwhm_mhz))
@@ -210,9 +219,7 @@ class DensitySpec:
         try:
             grid_for_density(density)
         except (FloatingPointError, ZeroDivisionError) as exc:
-            raise ConfigError(f"density.fwhm_mhz = {self.fwhm_mhz} is too narrow for a frequency "
-                              f"grid at {self.center_ghz} GHz; use density.kind=delta for an "
-                              f"unbroadened line") from exc
+            raise too_narrow from exc
         except (ValueError, ArithmeticError) as exc:
             raise ConfigError(f"density.q = {self.q} (fwhm {self.fwhm_mhz} MHz) needs a default "
                               f"frequency grid of more than {MAX_GRID_NODES:,} nodes") from exc

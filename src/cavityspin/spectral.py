@@ -407,23 +407,51 @@ def _conv(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return np.fft.ifft(spectrum)[:n].copy()  # frees the padded buffer
 
 
+def _node_chirp(coef: np.ndarray, grid: FrequencyGrid, dt: float) -> np.ndarray:
+    """The node part of a chirp-z sum: coef_k e^{-i theta k^2 / 2}."""
+    k = np.arange(-grid.n_half, grid.n_half + 1)
+    return coef * np.exp(-0.5j * _theta(grid, dt) * (k * k))
+
+
+def _lag_chirp(grid: FrequencyGrid, dt: float, start: int, n: int) -> np.ndarray:
+    """The lag part of a chirp-z sum over lags start .. start+n-1:
+    e^{i theta d^2 / 2} for d = start - n_half .. start + n + n_half - 1.
+
+    Element by element it does not depend on n, so the part for n lags
+    is the first n + grid.n - 1 terms of the part for any longer run.
+    """
+    d = np.arange(start - grid.n_half, start + n + grid.n_half)
+    return np.exp(0.5j * _theta(grid, dt) * (d * d))
+
+
+def _theta(grid: FrequencyGrid, dt: float) -> float:
+    # A one-node grid's d_omega is a placeholder; its chirp would only
+    # add rounding.
+    return grid.d_omega * dt if grid.n > 1 else 0.0
+
+
+def _chirp_z(node: np.ndarray, lag: np.ndarray, grid: FrequencyGrid, offset: float,
+             dt: float, n: int, start: int = 0) -> np.ndarray:
+    """`_node_sum` from its two parts: one FFT convolution, then the
+    output chirp. ``lag`` holds at least n + grid.n - 1 terms."""
+    size = _fast_len(n + grid.n - 1)
+    spectrum = np.fft.fft(node, size)
+    spectrum *= np.fft.fft(lag[:n + grid.n - 1], size)
+    m = np.arange(start, start + n)
+    phase = (grid.center - offset) * dt * m + 0.5 * _theta(grid, dt) * (m * m)
+    return np.exp(-1j * phase) * np.fft.ifft(spectrum)[grid.n - 1:grid.n - 1 + n]
+
+
 def _node_sum(coef: np.ndarray, grid: FrequencyGrid, offset: float, dt: float,
               n: int, start: int = 0) -> np.ndarray:
     """sum_i coef_i e^{-i (omega_i - offset) m dt} for m = start .. start+n-1.
 
     Chirp-z form: with omega_i = center + k d_omega, |k| <= n_half, and
     k m = (k^2 + m^2 - (m - k)^2) / 2, the node sum is one FFT
-    convolution with a chirp. The squares are exact integers before they
-    meet theta = d_omega dt.
+    convolution of a node part (`_node_chirp`) with a lag part
+    (`_lag_chirp`). The squares are exact integers before they meet
+    theta = d_omega dt, so a part kept from another sum of the same
+    coefficients, grid and dt has the bits of one built here.
     """
-    k = np.arange(-grid.n_half, grid.n_half + 1)
-    m = np.arange(start, start + n)
-    d = np.arange(start - grid.n_half, start + n + grid.n_half)
-    # A one-node grid's d_omega is a placeholder; its chirp would only
-    # add rounding.
-    theta = grid.d_omega * dt if grid.n > 1 else 0.0
-    size = _fast_len(n + grid.n - 1)
-    spectrum = np.fft.fft(coef * np.exp(-0.5j * theta * (k * k)), size)
-    spectrum *= np.fft.fft(np.exp(0.5j * theta * (d * d)), size)
-    phase = (grid.center - offset) * dt * m + 0.5 * theta * (m * m)
-    return np.exp(-1j * phase) * np.fft.ifft(spectrum)[grid.n - 1:grid.n - 1 + n]
+    return _chirp_z(_node_chirp(coef, grid, dt), _lag_chirp(grid, dt, start, n),
+                    grid, offset, dt, n, start)

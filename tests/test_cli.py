@@ -245,12 +245,15 @@ def test_line_without_a_buildable_grid_exits_1(small_config, capsys, q):
 
 
 @pytest.mark.parametrize("kind, fwhm_mhz", [
-    ("qgauss", 1e-14), ("qgauss", 1e-310), ("lorentz", 1e-300), ("lorentz", 1e-320)])
+    ("qgauss", 1e-14), ("qgauss", 1e-310), ("lorentz", 1e-300), ("lorentz", 1e-320),
+    ("qgauss", 1e-322), ("lorentz", 1e-322), ("qgauss", 1e-330), ("lorentz", 1e-330)])
 def test_line_too_narrow_for_its_grid_exits_1(small_config, capsys, kind, fwhm_mhz):
     # Spacings of FWHM/200 that floats cannot place around 2.6915 GHz:
     # nodes rounded onto each other (1e-14), subnormal widths (1e-310,
-    # 1e-300) and a spacing that underflows to 0 (1e-320). Each is the
-    # width's fault, not the shape's, and none may reach the solver.
+    # 1e-300), a spacing that underflows to 0 (1e-320), a width that
+    # underflows to 0 rad/ns (1e-322) and one that is 0 as a float
+    # (1e-330). Each is the width's fault, not the shape's, and none may
+    # reach the solver.
     path, tmp_path = small_config
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -258,6 +261,15 @@ def test_line_too_narrow_for_its_grid_exits_1(small_config, capsys, kind, fwhm_m
                      f"density.fwhm_mhz={fwhm_mhz}"]) == 1
     err = capsys.readouterr().err
     assert f"density.fwhm_mhz = {fwhm_mhz} " in err and "density.kind=delta" in err
+    assert not (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["qgauss", "lorentz"])
+def test_negative_width_names_its_key(small_config, capsys, kind):
+    path, tmp_path = small_config
+    assert main(["long-pulse", str(path), f"density.kind={kind}",
+                 "density.fwhm_mhz=-9.4"]) == 1
+    assert "density.fwhm_mhz must be positive, got -9.4" in capsys.readouterr().err
     assert not (tmp_path / "run.csv").exists()
 
 
