@@ -431,7 +431,7 @@ def _theta(grid: FrequencyGrid, dt: float) -> float:
 
 
 def _chirp_z(node: np.ndarray, lag: np.ndarray, grid: FrequencyGrid, offset: float,
-             dt: float, n: int, start: int = 0) -> np.ndarray:
+             dt: float, n: int, start: int) -> np.ndarray:
     """`_node_sum` from its two parts: one FFT convolution, then the
     output chirp. ``lag`` holds at least n + grid.n - 1 terms."""
     size = _fast_len(n + grid.n - 1)
