@@ -311,7 +311,11 @@ class CompareSpec:
     @staticmethod
     def from_mapping(mapping) -> "CompareSpec":
         _reject_unknown(mapping, CompareSpec, "compare")
-        return CompareSpec(**_floats(mapping, CompareSpec, "compare"))
+        values = _floats(mapping, CompareSpec, "compare")
+        if values["formula_delta_mhz"] < 0:
+            raise ConfigError("compare.formula_delta_mhz must be non-negative, "
+                              f"got {values['formula_delta_mhz']}")
+        return CompareSpec(**values)
 
 
 @dataclass(frozen=True)
@@ -686,11 +690,11 @@ def _max_scan_point(config, assignment):
 def _lorentz_analytic_point(config, assignment):
     """Closed-form rectangular-pulse response of the Lorentzian model."""
     cfg = apply_assignment(config, assignment)
-    params, _, eta = _build_point(cfg)
+    params, density, eta = _build_point(cfg)
     duration, tgrid = _rect_pulse_grid(cfg)
     p = lorentz.LorentzParams(
         Omega=params.Omega,
-        Delta=mhz_to_angular(cfg.density.fwhm_mhz) / 2.0,
+        Delta=density.delta,
         kappa=params.kappa,
         eta=eta,
         tau_d=duration["snapped"],

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lorentz
 from .core import ComplexSeries, SystemParams, TimeGrid, angular_to_mhz, require_resonant
 from .spectral import (
     DiracDeltaDensity,
@@ -552,23 +553,19 @@ def gamma_lorentz_formula(
 ) -> tuple[DecayRateEstimate, ...]:
     """Closed-form Lorentzian rates, slow branch first.
 
-    Below the damping boundary Omega = |Delta - kappa|/2 the two real
-    branches Delta + kappa -+ sqrt((Delta-kappa)^2 - 4*Omega^2) are
+    The intensity rates are -2 Re lambda of the characteristic roots
+    `lorentz.exponents`. Below the damping boundary
+    Omega = |Delta - kappa|/2 the roots are real and both branches are
     returned; above it the modes are a conjugate pair and both decay at
-    Delta + kappa.
+    Delta + kappa, with Rabi frequency 2 Im lambda_1.
     """
-    disc = (Delta - kappa) ** 2 - 4.0 * Omega**2
-    base = Delta + kappa
-    if disc >= 0:
-        root = math.sqrt(disc)
-        return (
-            DecayRateEstimate(base - root, "overdamped, slow"),
-            DecayRateEstimate(base + root, "overdamped, fast"),
-        )
-    freq = math.sqrt(-disc)
-    return (
-        DecayRateEstimate(base, f"underdamped, Rabi {freq:g} rad/ns"),
-    )
+    roots = lorentz.exponents(lorentz.LorentzParams(Omega, Delta, kappa, eta=0.0, tau_d=0.0))
+    # 0.0 - x, not -x: a vanishing slow rate stays +0.0.
+    slow, fast = (0.0 - 2.0 * lam.real for lam in roots)
+    if roots[0].imag == 0:
+        return (DecayRateEstimate(slow, "overdamped, slow"),
+                DecayRateEstimate(fast, "overdamped, fast"))
+    return (DecayRateEstimate(slow, f"underdamped, Rabi {2.0 * roots[0].imag:g} rad/ns"),)
 
 
 def gamma_no_broadening(Omega: float, kappa: float) -> tuple[DecayRateEstimate, ...]:

@@ -6,7 +6,11 @@ exponential and the driven cavity reduces to a damped oscillator pair:
     A'' + (Delta + kappa) A' + (Omega^2 + Delta kappa) A + eta Delta = 0
 
 during the drive, and the same homogeneous equation after switch-off.
-Every signal is evaluated in one two-mode form, const + a e^{l2 x} +
+Only the switch-on response (A(0) = 0, A'(0) = -eta) is derived. By
+linearity the decay from the steady state is that state minus the
+switch-on response delayed by tau_d, and a pulse of length tau_d is the
+switch-on response minus the same response delayed by tau_d. Every
+signal is evaluated in one two-mode form, const + a e^{l2 x} +
 b (e^{l1 x} - e^{l2 x})/(l1 - l2), real through the overdamped regime
 and const + (a + b x) e^{l x} where the roots merge (critical damping);
 the docstrings give the equivalent textbook trig forms. The module also
@@ -73,20 +77,6 @@ def steady_values(p: LorentzParams) -> tuple[float, float]:
     return (-p.Delta * p.eta / denom, p.eta * p.Omega / (2.0 * denom))
 
 
-def _coefficients(roots, offset, a0, d0):
-    """(a, b) of `_evaluate` with offset + a = a0 and l2 a + b = d0."""
-    return a0 - offset, d0 - roots[1] * (a0 - offset)
-
-
-def _spin_modes(p: LorentzParams, coeffs, roots):
-    """Spin coefficients J_x = (A' + kappa A + eta(t)) / (2 Omega), A' being
-    (l2 a + b, l1 b); the spins decouple (J_x = 0) at Omega = 0."""
-    if p.Omega == 0:
-        return 0.0, 0.0
-    (a, b), (l1, l2) = coeffs, roots
-    return ((l2 + p.kappa) * a + b) / (2 * p.Omega), (l1 + p.kappa) * b / (2 * p.Omega)
-
-
 def _evaluate(form, x):
     const, (a, b), (l1, l2) = form
     e2 = np.exp(l2 * x)
@@ -150,39 +140,46 @@ def modal_form(p: LorentzParams, phase: str):
 
 
 def _form(p: LorentzParams, phase: str):
-    """(const, (a, b), (l1, l2)) of a phase, as `_evaluate` reads it."""
+    """(const, (a, b), (l1, l2)) of a phase, as `_evaluate` reads it. An
+    off phase is the steady state minus the on phase: the on coefficients
+    negated, with constant 0."""
     if phase not in ("cavity_on", "spin_on", "cavity_off", "spin_off"):
         raise ValueError(f"unknown phase {phase!r}")
-    roots = exponents(p)
-    a_st, j_st = steady_values(p)
-    if phase.endswith("_on"):
-        # A(0) = 0, A'(0) = -eta
-        const, coeffs, j_const = a_st, _coefficients(roots, a_st, 0.0, -p.eta), j_st
-    else:
-        # A(0) = A_st, A'(0) = +eta (the polarized ensemble pushes back).
-        const, coeffs, j_const = 0.0, _coefficients(roots, 0.0, a_st, p.eta), 0.0
-    if phase.startswith("cavity"):
-        return const, coeffs, roots
-    return j_const, _spin_modes(p, coeffs, roots), roots
+    l1, l2 = roots = exponents(p)
+    const, j_st = steady_values(p)
+    a = 0.0 - const  # const + a = 0 and l2 a + b = -eta
+    b = -p.eta - l2 * a
+    if phase.startswith("spin"):
+        # J_x = (A' + kappa A + eta) / (2 Omega), A' being (l2 a + b, l1 b);
+        # the spins decouple (J_x = 0) at Omega = 0.
+        const = j_st
+        if p.Omega == 0:
+            a = b = 0.0
+        else:
+            a, b = ((l2 + p.kappa) * a + b) / (2 * p.Omega), (l1 + p.kappa) * b / (2 * p.Omega)
+    if phase.endswith("_off"):
+        return 0.0, (-a, -b), roots
+    return const, (a, b), roots
 
 
 def pulse_response(p: LorentzParams, t):
     """(A, J_x) through a rectangular pulse of any length tau_d.
 
-    The drive-phase forms up to tau_d, then free evolution from the
-    actual switch-off state: A(tau_d) = A_on(tau_d) and
-    A'(tau_d+) = A'_on(tau_d) + eta, as the drive leaves A'.
+    A rectangular pulse is a switch-on minus the same switch-on delayed
+    by tau_d, so each signal is its on form up to tau_d and on(t) -
+    on(t - tau_d) after it. That is evaluated as off(t - tau_d) - off(t),
+    two decays from the steady state with no constant term: on(t) -
+    on(t - tau_d) would cancel the steady state to ~1e-16 of it and lose
+    the ring-down's tail.
     """
     t = np.asarray(t, dtype=float)
-    _, (c_a, c_b), roots = on = _form(p, "cavity_on")
-    slope = (0.0, (roots[1] * c_a + c_b, roots[0] * c_b), roots)  # A'_on
-    off = _coefficients(roots, 0.0, _evaluate(on, p.tau_d),
-                        _evaluate(slope, p.tau_d) + p.eta)
-    x = np.maximum(t - p.tau_d, 0.0)  # the off form grows backwards in time
-    a = np.where(t <= p.tau_d, _evaluate(on, t), _evaluate((0.0, off, roots), x))
-    jx = np.where(t <= p.tau_d, _evaluate(_form(p, "spin_on"), t),
-                  _evaluate((0.0, _spin_modes(p, off, roots), roots), x))
-    return a, jx
+    x = np.maximum(t - p.tau_d, 0.0)
+    out = []
+    for signal in ("cavity", "spin"):
+        off = _form(p, f"{signal}_off")
+        out.append(np.where(t <= p.tau_d, _evaluate(_form(p, f"{signal}_on"), t),
+                            _evaluate(off, x) - _evaluate(off, t)))
+    return tuple(out)
 
 
 def overshoot_first_peak(p: LorentzParams) -> tuple[float, float]:

@@ -443,8 +443,8 @@ def _chirp_z(node: np.ndarray, lag: np.ndarray, grid: FrequencyGrid, offset: flo
 
 
 def _node_sum(coef: np.ndarray, grid: FrequencyGrid, offset: float, dt: float,
-              n: int, start: int = 0) -> np.ndarray:
-    """sum_i coef_i e^{-i (omega_i - offset) m dt} for m = start .. start+n-1.
+              n: int) -> np.ndarray:
+    """sum_i coef_i e^{-i (omega_i - offset) m dt} for m = 0 .. n-1.
 
     Chirp-z form: with omega_i = center + k d_omega, |k| <= n_half, and
     k m = (k^2 + m^2 - (m - k)^2) / 2, the node sum is one FFT
@@ -453,5 +453,5 @@ def _node_sum(coef: np.ndarray, grid: FrequencyGrid, offset: float, dt: float,
     theta = d_omega dt, so a part kept from another sum of the same
     coefficients, grid and dt has the bits of one built here.
     """
-    return _chirp_z(_node_chirp(coef, grid, dt), _lag_chirp(grid, dt, start, n),
-                    grid, offset, dt, n, start)
+    return _chirp_z(_node_chirp(coef, grid, dt), _lag_chirp(grid, dt, 0, n),
+                    grid, offset, dt, n, 0)

@@ -147,6 +147,15 @@ def test_non_finite_number_exits_1(tmp_path, capsys, scenario, example, override
     assert not (tmp_path / "run.csv").exists()
 
 
+def test_negative_formula_half_width_exits_1(tmp_path, capsys):
+    # The Lorentz-formula column's line has a half-width of at least 0.
+    config = EXAMPLES[0].parent / "gamma_sweep.json"
+    assert main(["gamma-sweep", str(config), "compare.formula_delta_mhz=-0.1",
+                 f"output={tmp_path / 'run'}"]) == 1
+    assert "config error: compare.formula_delta_mhz must be" in capsys.readouterr().err
+    assert not (tmp_path / "run.csv").exists()
+
+
 @pytest.mark.parametrize("scenario,example,override,code", [
     ("train-map", "train_map.json", "grid=0", 1),
     ("train-map", "train_map.json", "grid=[]", 1),

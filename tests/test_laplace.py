@@ -498,6 +498,20 @@ class TestEnvelopeFloor:
         assert not laplace.envelope_floor_reached(a2)
 
 
+def lorentz_rates_oracle(Omega, Delta, kappa):
+    """The textbook Lorentzian rates Delta + kappa -+ sqrt(disc), disc =
+    (Delta-kappa)^2 - 4 Omega^2, as (gamma, note) pairs: both real
+    branches while disc >= 0, else one rate with Rabi frequency
+    sqrt(-disc). Written out here so the estimator, which reads the
+    characteristic roots, is checked against a separate derivation."""
+    disc = (Delta - kappa) ** 2 - 4.0 * Omega**2
+    base = Delta + kappa
+    if disc >= 0:
+        root = math.sqrt(disc)
+        return [(base - root, "overdamped, slow"), (base + root, "overdamped, fast")]
+    return [(base, f"underdamped, Rabi {math.sqrt(-disc):g} rad/ns")]
+
+
 class TestFormulaEstimators:
     def test_markov_uncoupled_and_quadratic_scaling(self, ensemble):
         assert laplace.gamma_markov(resonant_system(0.0), ensemble).gamma == pytest.approx(
@@ -540,7 +554,8 @@ class TestFormulaEstimators:
 
     def test_no_broadening_branches(self):
         slow, fast = laplace.gamma_no_broadening(0.0, KAPPA)
-        assert slow.gamma == 0.0
+        # +0.0: a coupling-0 gamma-sweep row prints it, and -0.0 has other bytes.
+        assert slow.gamma == 0.0 and math.copysign(1.0, slow.gamma) == 1.0
         assert fast.gamma == pytest.approx(2 * KAPPA, rel=1e-14)
         # Branch point of the formula itself is kappa/2 (2pi * 0.4 MHz);
         # the posted caption says 0.2 MHz, recorded as a discrepancy.
@@ -550,6 +565,28 @@ class TestFormulaEstimators:
         (only,) = laplace.gamma_no_broadening(1.01 * boundary, KAPPA)
         assert only.gamma == KAPPA
         assert "underdamped" in only.note
+
+    @pytest.mark.parametrize("omega,delta,kappa", [
+        (mhz_to_angular(8.56), mhz_to_angular(4.4), KAPPA),  # underdamped
+        (mhz_to_angular(1.0), mhz_to_angular(4.4), KAPPA),   # overdamped
+        (0.25, 0.75, 0.25),  # binary fractions: the discriminant is exactly 0
+        (0.125, 0.0, 0.25),
+        (0.0, mhz_to_angular(4.4), KAPPA),                   # uncoupled
+        (0.0, 0.0, KAPPA),
+        (mhz_to_angular(25.0), 0.0, KAPPA),
+    ])
+    def test_rates_match_textbook_oracle_bitwise(self, omega, delta, kappa):
+        got = laplace.gamma_lorentz_formula(omega, delta, kappa)
+        assert [(e.gamma, e.note) for e in got] == lorentz_rates_oracle(omega, delta, kappa)
+        got = laplace.gamma_no_broadening(omega, kappa)
+        assert [(e.gamma, e.note) for e in got] == lorentz_rates_oracle(omega, 0.0, kappa)
+
+    def test_rates_match_textbook_oracle_on_a_grid(self):
+        for omega in np.linspace(0.0, mhz_to_angular(30.0), 41):
+            for delta in np.linspace(0.0, mhz_to_angular(12.0), 25):
+                got = laplace.gamma_lorentz_formula(float(omega), float(delta), KAPPA)
+                want = lorentz_rates_oracle(float(omega), float(delta), KAPPA)
+                assert [(e.gamma, e.note) for e in got] == want, (omega, delta)
 
     def test_broadened_rate_bounded_below_by_no_broadening(self, ensemble):
         # Light three-point version of the sweep invariant (the official

@@ -202,6 +202,17 @@ class TestPulseResponse:
         rhs = (da + p.kappa * a) / (2.0 * p.Omega)
         assert np.abs(jx - rhs).max() < 1e-8 * np.abs(jx).max()
 
+    def test_ring_down_tail_keeps_relative_precision(self):
+        # 2,200 ns after switch-off A is about 4e-17 of A_st, below the
+        # rounding of the steady state itself.
+        p = make(omega=mhz_to_angular(9.786), delta=mhz_to_angular(4.598), tau_d=800.0)
+        t = p.tau_d + np.array([700.0, 1200.0, 1700.0, 2200.0])
+        a, jx = pulse_response(p, t)
+        from_zero = make(omega=p.Omega, delta=p.Delta, tau_d=0.0)
+        for phase, got in (("cavity_off", a), ("spin_off", jx)):
+            want = trig_form(p, phase, t) - trig_form(from_zero, phase, t)
+            assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want)), phase
+
 
 class TestSpinCavityIdentity:
     """J_x is slaved to the cavity: J_x = (A' + kappa A + eta(t)) / (2 Omega)."""
