@@ -115,10 +115,6 @@ def main(argv=None) -> int:
             raise harness.ConfigError(
                 "no output path: set \"output\" in the config or pass output=PATH"
             )
-    except harness.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
         t0 = time.perf_counter()
         table = harness.run_scenario(config)
         elapsed = time.perf_counter() - t0

@@ -16,7 +16,7 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 # Most samples a time grid may have (64 MiB per complex series). The largest
-# example grid is max-scan's 46,801; gamma-sweep's window cap gives 81,921 at dt = 0.2.
+# example grid is max-scan's 46,801; gamma-sweep's windows stop at 16,384 ns, 81,921 at dt = 0.2.
 MAX_TIME_STEPS = 2**22
 
 

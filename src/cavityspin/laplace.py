@@ -473,7 +473,7 @@ def envelope_floor_reached(a2: np.ndarray) -> bool:
     if len(peaks):
         start = min(start, peaks[-1])
     past_node = not len(peaks) and a2[-1] > a2[-2]
-    return not past_node and a2[start:].max() <= _ENVELOPE_DROP * a2[0]
+    return bool(not past_node and a2[start:].max() <= _ENVELOPE_DROP * a2[0])
 
 
 def decay_rate_timefit(series: ComplexSeries) -> DecayRateEstimate:

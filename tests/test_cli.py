@@ -168,16 +168,57 @@ def test_negative_formula_half_width_exits_1(tmp_path, capsys):
     ("long-pulse", "long_pulse.json", 'sweep=""', 1),
     ("train-map", "train_map.json", "grid=null", 0),
     ("train-map", "train_map.json", "grid={}", 0),
+    ("train-map", "train_map.json", "drive.n_pulses=0", 1),
+    ("long-pulse", "long_pulse.json", "drive.kind=null", 0),
 ])
 def test_falsy_section_is_not_read_as_defaults(tmp_path, capsys, scenario, example,
                                                override, code):
-    # Only a missing section or null means "use the defaults"; 0, false,
-    # "" or [] for an object and {} for the sweep list are refused.
+    # Only a missing section or key, or null, means "use the defaults"
+    # (a null drive.kind is "rect"); 0, false, "" or [] for an object, {}
+    # for the sweep list and 0 pulses are refused.
     config = EXAMPLES[0].parent / example
     assert main([scenario, str(config), override, f"output={tmp_path / 'run'}"]) == code
     assert (tmp_path / "run.csv").exists() == (code == 0)
     if code:
         assert f"config error: {override.split('=')[0]} must be" in capsys.readouterr().err
+
+
+_TWO_COUPLING_AXES = ('sweep=[{"parameter": "coupling_mhz", "values": [1]}, '
+                      '{"parameter": "coupling_mhz", "values": [2]}]')
+
+
+@pytest.mark.parametrize("scenario,example,override,key", [
+    ("long-pulse", "long_pulse.json", "system.kappa_mhz=null", "system.kappa_mhz"),
+    ("long-pulse", "long_pulse.json", "density.fwhm_mhz=null", "density.fwhm_mhz"),
+    ("long-pulse", "long_pulse.json", "density.q=null", "density.q"),
+    ("long-pulse", "long_pulse.json", "density.q=3.5", "density.q"),
+    ("long-pulse", "long_pulse.json", "drive.kind=pulse", "drive.kind"),
+    ("long-pulse", "long_pulse.json", "grid.dt_ns=-0.05", "grid.dt_ns"),
+    ("long-pulse", "long_pulse.json", "grid.t_end_ns=0.01", "grid.t_end_ns"),
+    ("long-pulse", "long_pulse.json", "grid.t_end_ns=null", "grid.t_end_ns"),
+    ("long-pulse", "long_pulse.json", "drive.duration_ns=-5", "drive.duration_ns"),
+    ("train-compare", "train_compare.json", "drive.tau_ns=-19.5", "drive.tau_ns"),
+    pytest.param("gamma-sweep", "gamma_sweep.json",
+                 'sweep=[{"parameter": "coupling_mhz", "values": []}]', "sweep[0].values",
+                 id="gamma-sweep-empty-values"),
+    pytest.param("long-pulse", "long_pulse.json", _TWO_COUPLING_AXES, "sweep[1].parameter",
+                 id="long-pulse-two-coupling-axes"),
+])
+def test_refusal_names_its_key(tmp_path, capsys, scenario, example, override, key):
+    # Each of these refusals names the key to mend and comes before any output.
+    config = EXAMPLES[0].parent / example
+    assert main([scenario, str(config), override, f"output={tmp_path / 'run'}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert not (tmp_path / "run.csv").exists()
+
+
+def test_config_document_must_be_an_object(tmp_path, capsys):
+    bad = tmp_path / "list.json"
+    bad.write_text(json.dumps([{"system": {}}]))
+    assert main(["long-pulse", str(bad), f"output={tmp_path / 'run'}"]) == 1
+    assert "config error: config document must be a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "run.csv").exists()
 
 
 @pytest.mark.parametrize("output", ["", "out/", ".", "out/.."])
@@ -255,14 +296,15 @@ def test_line_without_a_buildable_grid_exits_1(small_config, capsys, q):
 
 @pytest.mark.parametrize("kind, fwhm_mhz", [
     ("qgauss", 1e-14), ("qgauss", 1e-310), ("lorentz", 1e-300), ("lorentz", 1e-320),
-    ("qgauss", 1e-322), ("lorentz", 1e-322), ("qgauss", 1e-330), ("lorentz", 1e-330)])
+    ("qgauss", 1e-322), ("lorentz", 1e-322), ("qgauss", 1e-330), ("lorentz", 1e-330),
+    ("qgauss", 1e-321), ("lorentz", 1e-321)])
 def test_line_too_narrow_for_its_grid_exits_1(small_config, capsys, kind, fwhm_mhz):
     # Spacings of FWHM/200 that floats cannot place around 2.6915 GHz:
     # nodes rounded onto each other (1e-14), subnormal widths (1e-310,
     # 1e-300), a spacing that underflows to 0 (1e-320), a width that
-    # underflows to 0 rad/ns (1e-322) and one that is 0 as a float
-    # (1e-330). Each is the width's fault, not the shape's, and none may
-    # reach the solver.
+    # underflows to 0 rad/ns (1e-322), one that is 0 as a float (1e-330)
+    # and one whose half-width underflows to 0 rad/ns (1e-321). Each is
+    # the width's fault, not the shape's, and none may reach the solver.
     path, tmp_path = small_config
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

@@ -420,9 +420,29 @@ class TestGammaSweep:
         with pytest.raises(ConfigError, match=match):
             run_scenario(ScenarioConfig.from_mapping(mapping))
 
+    @pytest.mark.parametrize("kappa_mhz, reached", [(0.05, True), (0.02, False)])
+    def test_free_decay_windows_stop_at_the_cap(self, monkeypatch, kappa_mhz, reached):
+        # At coupling 0.01 MHz the golden-rule start 5 / markov is 7,953 ns
+        # at kappa 0.05 MHz, so one x4 growth would pass the cap, and
+        # 19,866 ns at 0.02 MHz, past it already: every window, the first
+        # included, is clamped to 16,384 ns.
+        ends = []
+        solve = volterra.solve
+        monkeypatch.setattr(volterra, "solve",
+                            lambda *args, **kw: ends.append(args[3].t_end) or solve(*args, **kw))
+        cfg = ScenarioConfig.from_mapping(base_mapping(
+            scenario="gamma-sweep",
+            system={"cavity_ghz": CAVITY_GHZ, "kappa_mhz": kappa_mhz, "coupling_mhz": 0.01},
+            grid={"dt_ns": 0.2},
+            sweep=[{"parameter": "coupling_mhz", "values": [0.01]}],
+        ))
+        diag = run_scenario(cfg).provenance["diagnostics"][0]
+        assert max(ends) == diag["t_max_ns"] == 16384.0
+        assert diag["envelope_floor_reached"] is reached
+
     def test_manifest_serializes_diagnostics(self, tmp_path):
-        # The per-point diagnostics carry numpy scalars (np.bool_ is not
-        # a bool subclass); the manifest writer must coerce them.
+        # The per-point diagnostics are plain Python values: the manifest
+        # is written by json.dump with no fallback for numpy scalars.
         cfg = ScenarioConfig.from_mapping(base_mapping(
             scenario="gamma-sweep",
             grid={"dt_ns": 0.2},

@@ -466,6 +466,28 @@ class TestTimeFit:
         with pytest.raises(ValueError):
             laplace.decay_rate_timefit(ComplexSeries(grid=tgrid, values=vals))
 
+    def test_rejects_trace_starting_at_zero(self):
+        tgrid = TimeGrid(t_start=0.0, dt=DT, n_steps=500)
+        vals = np.sin(KAPPA * tgrid.times())
+        with pytest.raises(ValueError, match="starts at zero intensity"):
+            laplace.decay_rate_timefit(ComplexSeries(grid=tgrid, values=vals))
+
+    def test_rejects_window_of_fewer_than_8_samples(self):
+        # |A|^2 = exp(-2t) falls from 1e-1 to 1e-6 between t = 1.2 and 6.9:
+        # five samples at dt = 1.
+        tgrid = TimeGrid(t_start=0.0, dt=1.0, n_steps=20)
+        vals = np.exp(-tgrid.times())
+        with pytest.raises(ValueError, match="only 5 samples inside the fit window"):
+            laplace.decay_rate_timefit(ComplexSeries(grid=tgrid, values=vals))
+
+    def test_rejects_growing_oscillation(self):
+        # Three peaks within three decades of the strongest, rising.
+        tgrid = TimeGrid(t_start=0.0, dt=DT, n_steps=2001)
+        t = tgrid.times()
+        vals = np.exp(0.01 * t) * np.cos(2 * math.pi * t / 20.0)
+        with pytest.raises(ValueError, match="does not decay"):
+            laplace.decay_rate_timefit(ComplexSeries(grid=tgrid, values=vals))
+
 
 class TestEnvelopeFloor:
     """The three-decade rule that gamma-sweep grows its free-decay
@@ -474,10 +496,11 @@ class TestEnvelopeFloor:
     T = np.linspace(0.0, 1.0, 2001)
 
     def test_smooth_decay_below_the_floor(self):
-        assert laplace.envelope_floor_reached(np.exp(-10.0 * self.T))
+        # A plain bool, so that manifests hold it as JSON true or false.
+        assert laplace.envelope_floor_reached(np.exp(-10.0 * self.T)) is True
 
     def test_decay_short_of_three_decades(self):
-        assert not laplace.envelope_floor_reached(np.exp(-2.0 * self.T))
+        assert laplace.envelope_floor_reached(np.exp(-2.0 * self.T)) is False
 
     @pytest.mark.parametrize("revival, reached", [(0.3, False), (0.01, True)])
     def test_trace_ending_inside_a_node_reads_its_last_peak(self, revival, reached):

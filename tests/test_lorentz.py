@@ -378,3 +378,8 @@ class TestEquivalentLorentzian:
     def test_rejects_impossible_targets(self):
         with pytest.raises(ValueError):
             equivalent_lorentzian(mhz_to_angular(19.2), -1.5, KAPPA, KAPPA)
+
+    def test_rejects_a_pair_no_lorentzian_reaches(self):
+        # A dip this shallow caps the Rabi frequency far below 19.2 MHz.
+        with pytest.raises(ValueError, match="no Lorentzian matches"):
+            equivalent_lorentzian(mhz_to_angular(19.2), -0.9, KAPPA, KAPPA)

@@ -470,6 +470,18 @@ class TestSolveBasics:
             solver(resonant_system(8.56), ensemble, phase_switched_train(KAPPA, 19.53, 3),
                    TimeGrid(0.0, DT, 2001))
 
+    @pytest.mark.parametrize("solver", [solve, solve_direct])
+    def test_grid_must_start_at_zero(self, ensemble, solver):
+        with pytest.raises(ValueError, match="starting at t = 0"):
+            solver(resonant_system(8.56), ensemble, rect_pulse(KAPPA, 10.0),
+                   TimeGrid(1.0, DT, 401))
+
+    def test_no_drive_and_no_photon_stays_exactly_zero(self, ensemble):
+        # All-zero forcing: the march returns before any transform.
+        a = solve(resonant_system(8.56), ensemble, rect_pulse(0.0, 20.0),
+                  TimeGrid(0.0, DT, 801), a0=0.0)
+        assert np.all(a.values == 0.0)
+
     def test_direct_step_cap(self, ensemble):
         p = resonant_system(8.56)
         with pytest.raises(ValueError):
@@ -589,6 +601,10 @@ class TestSteadyState:
             a_st, _ = steady_state(resonant_system(omega_mhz), ensemble, eta=KAPPA)
             mags.append(abs(a_st))
         assert all(x > y for x, y in zip(mags, mags[1:]))
+
+    def test_refuses_an_unbroadened_line(self):
+        with pytest.raises(ValueError, match="broadened density"):
+            steady_state(resonant_system(8.56), DiracDeltaDensity(OMEGA_C), eta=KAPPA)
 
     def test_requires_resonance(self, ensemble):
         p = detuned_system(8.56, probe_offset=mhz_to_angular(1.0))
