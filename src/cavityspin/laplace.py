@@ -139,8 +139,9 @@ def _taylor_remainder(
     form. r2 is a central difference of pdf_derivative over one spacing:
     its error cancels between the sum and the closed form, so it only
     sets how smooth the remainder is. A node within 1e-6 spacings of w0
-    gets its exact remainder 0, as in `lamb_shift`. Outside the grid
-    there is no spike to subtract: rem is rho and the Taylor part None.
+    gets its exact remainder 0, as in `lamb_shift`; on the uniform grid
+    only the node nearest w0 can be that close. Outside the grid there is
+    no spike to subtract: rem is rho and the Taylor part None.
     """
     x = grid.omegas - w0
     if not grid.omegas[0] < w0 < grid.omegas[-1]:
@@ -150,8 +151,15 @@ def _taylor_remainder(
     r1 = density.pdf_derivative(w0)
     r2 = 0.5 * (density.pdf_derivative(w0 + 0.5 * h)
                 - density.pdf_derivative(w0 - 0.5 * h)) / h
-    rem = rho - r0 - x * (r1 + r2 * x)
-    rem[np.abs(x) < 1e-6 * h] = 0.0
+    # rho - r0 - x (r1 + r2 x), in the same order, in two buffers.
+    xpoly = r2 * x
+    xpoly += r1
+    xpoly *= x
+    rem = rho - r0
+    rem -= xpoly
+    nearest = round((w0 - grid.center) / h) + grid.n_half
+    if abs(x[nearest]) < 1e-6 * h:
+        rem[nearest] = 0.0
     return x, rem, (r0, r1, r2)
 
 
@@ -171,9 +179,13 @@ def _pole_map(
     """
     x, rem, taylor = _taylor_remainder(density, grid, rho, -omega_j)
     s2 = sigma * sigma
-    den = s2 + x * x
-    i2 = grid.weights @ (rem / den)
-    i1 = grid.weights @ (rem * x / den)
+    # q = rem / (sigma^2 + x^2), built in one buffer: rem may be rho itself.
+    q = x * x
+    q += s2
+    np.divide(rem, q, out=q)
+    i2 = grid.weights @ q
+    q *= x
+    i1 = grid.weights @ q
     if taylor is not None:
         r0, r1, r2 = taylor
         a, b, s = x[0], x[-1], abs(sigma)
@@ -199,23 +211,30 @@ def _solve_pole(
     """Damped fixed-point iteration from one starting guess.
 
     Returns (sigma, omega, residual) or None when the iteration fails to
-    settle, which is the expected outcome in the pole-free window.
+    settle, which is the expected outcome in the pole-free window. Each
+    exit is logged at debug level with the start's offset from -omega_c
+    in MHz and the number of maps taken.
     """
     sigma, omega_j = sigma0, omega0
     omega_scale = max(abs(params.omega_c), 1.0)
     shrink = 0
-    for _ in range(_MAX_ITER):
+    maps = 0
+    outcome = "no convergence by _MAX_ITER"
+    while maps < _MAX_ITER:
         if abs(sigma) < 1e-8 * params.kappa:
             # Collapsed onto the cut: no genuine root on this branch.
-            return None
+            outcome = "collapsed onto the cut"
+            break
         sigma_next, omega_next = _pole_map(params, density, sigma, omega_j, grid, rho)
+        maps += 1
         # Near a true root sigma_next/sigma -> 1; a run of order-of-
         # magnitude drops means the iterate is racing toward the cut, so
         # stop iterating and call it rootless.
         if abs(sigma_next) < 0.1 * abs(sigma) and abs(sigma_next) < 0.01 * params.kappa:
             shrink += 1
             if shrink >= 3:
-                return None
+                outcome = "three shrinking steps toward the cut"
+                break
         else:
             shrink = 0
         resid = max(
@@ -223,54 +242,76 @@ def _solve_pole(
             abs(omega_next - omega_j) / omega_scale,
         )
         if resid < 0.5 * _POLE_TOL:
+            log.debug("pole search from %+.6g MHz converged after %d maps: "
+                      "sigma = %.6g", _offset_mhz(params, omega0), maps, sigma)
             return sigma, omega_j, resid
         # The bare omega update has slope ~ -1 near the symmetric pair, so
         # undamped iteration ping-pongs; 0.5 damping makes it contract.
         sigma += _DAMPING * (sigma_next - sigma)
         omega_j += _DAMPING * (omega_next - omega_j)
+    log.debug("pole search from %+.6g MHz failed: %s after %d maps",
+              _offset_mhz(params, omega0), outcome, maps)
     return None
+
+
+def _offset_mhz(params: SystemParams, omega_j: float) -> float:
+    """A pole coordinate as its offset from the carrier -omega_c, in MHz."""
+    return angular_to_mhz(omega_j + params.omega_c)
 
 
 def find_poles(params: SystemParams, density: SpinDensity) -> list[PoleSolution]:
     """Locate all isolated resolvent poles of the free decay.
 
-    Multistart damped iteration: one start at the bare-cavity point
-    (-kappa, -omega_c) and, for Omega > 0, one near each polariton at
-    (-kappa/10, -omega_c -+ Omega). Converged duplicates are merged and
-    near-axis artifacts discarded, so the returned list has zero, one or
-    two entries depending on the coupling regime. Every integral is a
+    Damped iteration from the bare-cavity point (-kappa, -omega_c) and,
+    for Omega > 0, from one polariton start (-kappa/10, -omega_c + Omega)
+    plus its mirror image. The search is resonant (omega_s = omega_c),
+    every line it accepts (q-Gaussian, Lorentzian) is even about omega_s
+    and its grid is symmetric about omega_s, so the pole map commutes
+    with omega_j -> -2 omega_c - omega_j: a start at -omega_c - Omega
+    would follow the mirror image of the +Omega start. A root found from
+    the +Omega start is therefore taken with its mirror image, whose
+    residue is computed at its own point. Converged duplicates are merged
+    and near-axis artifacts discarded, so the returned list has zero, one
+    or two entries depending on the coupling regime. Every integral is a
     node sum on `grid_for_density(density)`, whose pdf is sampled once.
     """
     _require_resonant(params, density)
     grid = grid_for_density(density)
     rho = density.pdf(grid.omegas)
-    starts = [(-params.kappa, -params.omega_c)]
+    starts = [(-params.kappa, -params.omega_c, False)]
     if params.Omega > 0:
-        starts.append((-params.kappa / 10.0, -params.omega_c + params.Omega))
-        starts.append((-params.kappa / 10.0, -params.omega_c - params.Omega))
+        starts.append((-params.kappa / 10.0, -params.omega_c + params.Omega, True))
 
     poles: list[PoleSolution] = []
-    for sigma0, omega0 in starts:
-        got = _solve_pole(params, density, sigma0, omega0, grid, rho)
-        if got is None:
-            log.debug(
-                "pole search from (%.3g, %.3g) did not converge", sigma0, omega0
-            )
-            continue
-        sigma, omega_j, resid = got
+
+    def add(sigma: float, omega_j: float, resid: float, how: str) -> None:
         if abs(sigma) < _SIGMA_FLOOR * params.kappa:
-            log.debug("discarding cut-edge artifact at sigma = %.3g", sigma)
-            continue
+            log.debug("discarding cut-edge artifact at sigma = %.3g (%s)", sigma, how)
+            return
         if any(
             abs(sigma - p.sigma) < _DEDUPE_TOL
             and abs(omega_j - p.omega) < _DEDUPE_TOL
             for p in poles
         ):
-            continue
+            log.debug("pole at sigma = %.6g, %+.6g MHz (%s) merged with an earlier one",
+                      sigma, _offset_mhz(params, omega_j), how)
+            return
+        log.debug("pole at sigma = %.6g, %+.6g MHz (%s)",
+                  sigma, _offset_mhz(params, omega_j), how)
         weight = _residue(params, density, sigma, omega_j, grid, rho)
         poles.append(
             PoleSolution(sigma=sigma, omega=omega_j, residue=weight, residual=resid)
         )
+
+    for sigma0, omega0, mirrored in starts:
+        got = _solve_pole(params, density, sigma0, omega0, grid, rho)
+        if got is None:
+            continue
+        sigma, omega_j, resid = got
+        add(sigma, omega_j, resid, "found")
+        if mirrored:
+            add(sigma, -2.0 * params.omega_c - omega_j, resid,
+                "mirror image of the +Omega start's pole")
     poles.sort(key=lambda p: p.omega)
     return poles
 

@@ -177,6 +177,36 @@ class TestPoleRegimes:
         assert a.residue == pytest.approx(np.conj(b.residue), rel=1e-6)
         assert abs(a.residue) == pytest.approx(0.5, rel=0.2)
 
+    @pytest.mark.parametrize("kind, omega_mhz", [
+        ("qgauss", 22.25), ("qgauss", 25.0), ("qgauss", 30.0), ("lorentz", 1.3)])
+    def test_lower_polariton_start_follows_the_mirror_image(self, ensemble, kind, omega_mhz):
+        # find_poles runs only the +Omega start and mirrors its root about
+        # -omega_c; here the -Omega start runs for real and must land on
+        # that image.
+        density = ensemble if kind == "qgauss" else LorentzianDensity(
+            omega_s=OMEGA_C, delta=mhz_to_angular(4.598))
+        p = resonant_system(omega_mhz)
+        grid = grid_for_density(density)
+        rho = density.pdf(grid.omegas)
+        bare = laplace._solve_pole(p, density, -KAPPA, -OMEGA_C, grid, rho)
+        upper = laplace._solve_pole(p, density, -KAPPA / 10.0, -OMEGA_C + p.Omega, grid, rho)
+        lower = laplace._solve_pole(p, density, -KAPPA / 10.0, -OMEGA_C - p.Omega, grid, rho)
+        assert upper is not None and lower is not None
+        assert lower[0] == pytest.approx(upper[0], rel=1e-12)
+        assert lower[1] + upper[1] == pytest.approx(-2.0 * OMEGA_C, abs=1e-12)
+        # And find_poles returns what the three starts run directly give,
+        # merged as it merges them.
+        roots = []
+        for r in (bare, upper, lower):
+            if r is not None and not any(abs(r[0] - s[0]) < 1e-6 and abs(r[1] - s[1]) < 1e-6
+                                         for s in roots):
+                roots.append(r)
+        poles = laplace.find_poles(p, density)
+        assert len(poles) == len(roots)
+        for pole in poles:
+            assert any(abs(pole.sigma - r[0]) <= 1e-12 * abs(r[0])
+                       and abs(pole.omega - r[1]) <= 1e-12 for r in roots)
+
     def test_pole_equations_verified_independently(self, ensemble):
         for omega_mhz in (1.0, 25.0):
             p = resonant_system(omega_mhz)
@@ -237,6 +267,48 @@ class TestNodeSumsAgainstQuad:
             assert got == pole.residue
             ref = quad_residue(p, ensemble, pole.sigma, pole.omega)
             assert abs(got - ref) < 1e-9 * abs(ref)
+
+
+def masked_remainder(density, grid, rho, w0):
+    """Taylor remainder with every node within 1e-6 spacings of w0 zeroed."""
+    x = grid.omegas - w0
+    h = grid.d_omega
+    r1 = density.pdf_derivative(w0)
+    r2 = 0.5 * (density.pdf_derivative(w0 + 0.5 * h)
+                - density.pdf_derivative(w0 - 0.5 * h)) / h
+    rem = rho - density.pdf(w0) - x * (r1 + r2 * x)
+    rem[np.abs(x) < 1e-6 * h] = 0.0
+    return rem
+
+
+class TestTaylorRemainder:
+    @pytest.mark.parametrize("where, zeroed", [
+        ("centre node", True), ("polariton node", True),
+        ("1e-7 spacings above a node", True), ("1e-7 spacings below a node", True),
+        ("halfway between nodes", False)])
+    def test_nearest_node_zeroing_matches_the_whole_grid_mask(self, ensemble, where, zeroed):
+        grid = grid_for_density(ensemble)
+        rho = ensemble.pdf(grid.omegas)
+        h = grid.d_omega
+        k = grid.n_half + round(resonant_system(25.0).Omega / h)
+        w0 = {"centre node": grid.omegas[grid.n_half],
+              "polariton node": grid.omegas[k],
+              "1e-7 spacings above a node": grid.omegas[k] + 1e-7 * h,
+              "1e-7 spacings below a node": grid.omegas[k] - 1e-7 * h,
+              "halfway between nodes": grid.omegas[k] + 0.5 * h}[where]
+        x, rem, taylor = laplace._taylor_remainder(ensemble, grid, rho, w0)
+        expected = masked_remainder(ensemble, grid, rho, w0)
+        assert np.array_equal(rem, expected)
+        assert np.count_nonzero(rem == 0.0) == (1 if zeroed else 0)
+        assert taylor is not None
+
+    def test_outside_the_grid_the_remainder_is_rho(self, ensemble):
+        grid = grid_for_density(ensemble)
+        rho = ensemble.pdf(grid.omegas)
+        w0 = grid.omegas[-1] + grid.d_omega
+        x, rem, taylor = laplace._taylor_remainder(ensemble, grid, rho, w0)
+        assert rem is rho and taylor is None
+        assert np.array_equal(x, grid.omegas - w0)
 
 
 class TestTypes:
