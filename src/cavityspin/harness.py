@@ -765,6 +765,7 @@ _SCENARIO_TABLE = {
                  "Gamma_nobroadening_mhz"),
         axes=("coupling_mhz",),
         required_axis="coupling_mhz",
+        densities=("qgauss", "lorentz"),
         resonant=True,
         point=_gamma_point,
         derived=lambda config, diags: {

@@ -210,14 +210,15 @@ def _solve_pole(
 ) -> tuple[float, float, float] | None:
     """Damped fixed-point iteration from one starting guess.
 
-    Returns (sigma, omega, residual) or None when the iteration fails to
-    settle, which is the expected outcome in the pole-free window. Each
-    exit is logged at debug level with the start's offset from -omega_c
-    in MHz and the number of maps taken.
+    Returns (sigma, omega, residual) once the step falls below
+    _POLE_TOL / 2, or None when the iterate collapses onto the cut or is
+    still moving after _MAX_ITER maps; the latter two are the expected
+    outcomes in the pole-free window. Each exit is logged at debug level
+    with the start's offset from -omega_c in MHz and the number of maps
+    taken.
     """
     sigma, omega_j = sigma0, omega0
     omega_scale = max(abs(params.omega_c), 1.0)
-    shrink = 0
     maps = 0
     outcome = "no convergence by _MAX_ITER"
     while maps < _MAX_ITER:
@@ -227,16 +228,6 @@ def _solve_pole(
             break
         sigma_next, omega_next = _pole_map(params, density, sigma, omega_j, grid, rho)
         maps += 1
-        # Near a true root sigma_next/sigma -> 1; a run of order-of-
-        # magnitude drops means the iterate is racing toward the cut, so
-        # stop iterating and call it rootless.
-        if abs(sigma_next) < 0.1 * abs(sigma) and abs(sigma_next) < 0.01 * params.kappa:
-            shrink += 1
-            if shrink >= 3:
-                outcome = "three shrinking steps toward the cut"
-                break
-        else:
-            shrink = 0
         resid = max(
             abs(sigma_next - sigma) / params.kappa,
             abs(omega_next - omega_j) / omega_scale,
@@ -262,57 +253,42 @@ def _offset_mhz(params: SystemParams, omega_j: float) -> float:
 def find_poles(params: SystemParams, density: SpinDensity) -> list[PoleSolution]:
     """Locate all isolated resolvent poles of the free decay.
 
-    Damped iteration from the bare-cavity point (-kappa, -omega_c) and,
-    for Omega > 0, from one polariton start (-kappa/10, -omega_c + Omega)
-    plus its mirror image. The search is resonant (omega_s = omega_c),
-    every line it accepts (q-Gaussian, Lorentzian) is even about omega_s
-    and its grid is symmetric about omega_s, so the pole map commutes
-    with omega_j -> -2 omega_c - omega_j: a start at -omega_c - Omega
-    would follow the mirror image of the +Omega start. A root found from
-    the +Omega start is therefore taken with its mirror image, whose
-    residue is computed at its own point. Converged duplicates are merged
-    and near-axis artifacts discarded, so the returned list has zero, one
-    or two entries depending on the coupling regime. Every integral is a
-    node sum on `grid_for_density(density)`, whose pdf is sampled once.
+    One damped iteration, from the polariton start (-kappa/10,
+    -omega_c + Omega), for every Omega including 0. The search is
+    resonant (omega_s = omega_c), every line it accepts (q-Gaussian,
+    Lorentzian) is even about omega_s and its grid is symmetric about
+    omega_s, so the pole map commutes with omega_j -> -2 omega_c -
+    omega_j: a root is taken together with its mirror image, whose
+    residue is computed at its own point. An on-axis root is its own
+    image and is kept once; a root within _SIGMA_FLOOR of the cut is
+    discarded as an artifact. The returned list, sorted by omega, has
+    zero, one or two entries depending on the coupling regime. Every
+    integral is a node sum on `grid_for_density(density)`, whose pdf is
+    sampled once.
     """
     _require_resonant(params, density)
     grid = grid_for_density(density)
     rho = density.pdf(grid.omegas)
-    starts = [(-params.kappa, -params.omega_c, False)]
-    if params.Omega > 0:
-        starts.append((-params.kappa / 10.0, -params.omega_c + params.Omega, True))
-
-    poles: list[PoleSolution] = []
-
-    def add(sigma: float, omega_j: float, resid: float, how: str) -> None:
-        if abs(sigma) < _SIGMA_FLOOR * params.kappa:
-            log.debug("discarding cut-edge artifact at sigma = %.3g (%s)", sigma, how)
-            return
-        if any(
-            abs(sigma - p.sigma) < _DEDUPE_TOL
-            and abs(omega_j - p.omega) < _DEDUPE_TOL
-            for p in poles
-        ):
-            log.debug("pole at sigma = %.6g, %+.6g MHz (%s) merged with an earlier one",
-                      sigma, _offset_mhz(params, omega_j), how)
-            return
-        log.debug("pole at sigma = %.6g, %+.6g MHz (%s)",
-                  sigma, _offset_mhz(params, omega_j), how)
-        weight = _residue(params, density, sigma, omega_j, grid, rho)
-        poles.append(
-            PoleSolution(sigma=sigma, omega=omega_j, residue=weight, residual=resid)
-        )
-
-    for sigma0, omega0, mirrored in starts:
-        got = _solve_pole(params, density, sigma0, omega0, grid, rho)
-        if got is None:
-            continue
-        sigma, omega_j, resid = got
-        add(sigma, omega_j, resid, "found")
-        if mirrored:
-            add(sigma, -2.0 * params.omega_c - omega_j, resid,
-                "mirror image of the +Omega start's pole")
-    poles.sort(key=lambda p: p.omega)
+    got = _solve_pole(params, density, -params.kappa / 10.0,
+                      -params.omega_c + params.Omega, grid, rho)
+    if got is None:
+        return []
+    sigma, omega_j, resid = got
+    if abs(sigma) < _SIGMA_FLOOR * params.kappa:
+        log.debug("discarding cut-edge artifact at sigma = %.3g", sigma)
+        return []
+    mirror = -2.0 * params.omega_c - omega_j
+    if abs(mirror - omega_j) < _DEDUPE_TOL:
+        log.debug("pole at sigma = %.6g, %+.6g MHz is its own mirror image",
+                  sigma, _offset_mhz(params, omega_j))
+        omegas = [omega_j]
+    else:
+        omegas = sorted([omega_j, mirror])
+    poles = []
+    for omega in omegas:
+        log.debug("pole at sigma = %.6g, %+.6g MHz", sigma, _offset_mhz(params, omega))
+        weight = _residue(params, density, sigma, omega, grid, rho)
+        poles.append(PoleSolution(sigma=sigma, omega=omega, residue=weight, residual=resid))
     return poles
 
 

@@ -245,21 +245,23 @@ def test_override_through_scalar_exits_1(small_config, capsys):
 
 
 def test_numerical_failure_exits_2(tmp_path, capsys):
-    # A point density has no spectral continuum, so the rate extraction
-    # in gamma-sweep raises past config validation: exit code 2.
+    # An uncoupled cavity leaking at 1 Hz loses 2e-4 of its intensity in
+    # the longest (16,384 ns) window, so gamma-sweep's rate fit raises
+    # past config validation: exit code 2.
     mapping = {
         "scenario": "gamma-sweep",
-        "system": {"cavity_ghz": 2.6915, "kappa_mhz": 0.8,
-                   "coupling_mhz": 1.0},
-        "density": {"kind": "delta"},
-        "grid": {"dt_ns": 0.2},
-        "sweep": [{"parameter": "coupling_mhz", "values": [1.0]}],
+        "system": {"cavity_ghz": 2.6915, "kappa_mhz": 1e-6,
+                   "coupling_mhz": 0.0},
+        "density": {"kind": "qgauss", "fwhm_mhz": 9.4, "q": 1.39},
+        "grid": {"dt_ns": 1.0},
+        "sweep": [{"parameter": "coupling_mhz", "values": [0.0]}],
         "output": str(tmp_path / "run"),
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(mapping))
     assert main(["gamma-sweep", str(path)]) == 2
     assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / "run.csv").exists()
 
 
 def test_oversized_frequency_grid_exits_2(small_config, capsys):

@@ -56,14 +56,14 @@ def test_example_runs_through_cli(path, tmp_path, capsys):
 
 
 # Exit code of each scenario on the unbroadened (Dirac) line: the time
-# march runs on its one-atom grid, the decay-rate sweep's resolvent
-# estimators refuse it (no branch cut), and the Lorentzian-model
+# march runs on its one-atom grid, while the decay-rate sweep (whose
+# resolvent estimators need a branch cut) and the Lorentzian-model
 # scenarios reject the density kind as a configuration error.
 DIRAC_EXIT = {
     "long-pulse": 0,
     "train-map": 0,
     "max-scan": 0,
-    "gamma-sweep": 2,
+    "gamma-sweep": 1,
     "train-compare": 1,
     "lorentz-analytic": 1,
 }
