@@ -8,6 +8,9 @@ truncated supports, with the truncated tail mass known exactly so
 normalization checks stay honest.
 Every sum over the uniform grid has its one home here: the chirp-z node
 sum, FFT convolution and the discrete Hilbert transform (Lamb shift).
+A node sum whose coefficients are Hermitian about the grid's centre is
+real, and `_folded_sum` computes it over the grid's upper half
+(`_fold`); `_conv` takes real FFTs when both its inputs are real.
 `normalize` checks unit mass with the same node sum on the same grid the
 solvers integrate. The module, like the package, imports numpy only.
 """
@@ -368,8 +371,8 @@ def lamb_shift_nodes(density: SpinDensity, grid: FrequencyGrid) -> np.ndarray:
     hilbert[n - 1] = 0.0  # k = 0: the singular cell
     rho = density.pdf(grid.omegas)
     inner = slice(1, n - 1)
-    mass_sum = _conv(rho * grid.weights, hilbert, 2 * n - 1)[n:2 * n - 2].real
-    weight_sum = _conv(grid.weights, hilbert, 2 * n - 1)[n:2 * n - 2].real
+    mass_sum = _conv(rho * grid.weights, hilbert, 2 * n - 1)[n:2 * n - 2]
+    weight_sum = _conv(grid.weights, hilbert, 2 * n - 1)[n:2 * n - 2]
     x, lo, hi = grid.omegas[inner], grid.omegas[0], grid.omegas[-1]
     out = np.zeros(n)
     out[inner] = (mass_sum - rho[inner] * weight_sum
@@ -398,18 +401,47 @@ def _fast_len(n: int) -> int:
     return int(smooth[smooth >= n].min())
 
 
+def _transforms(*arrays: np.ndarray):
+    """Forward and inverse FFT, each called as (x, size), in the arrays'
+    arithmetic: real FFTs, half the work of complex ones (Sorensen,
+    Jones, Heideman & Burrus 1987), when every array is real."""
+    if any(np.iscomplexobj(x) for x in arrays):
+        return np.fft.fft, np.fft.ifft
+    return np.fft.rfft, np.fft.irfft
+
+
 def _conv(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """First n terms of the linear convolution a * b, by FFT."""
+    """First n terms of the linear convolution a * b, by FFT: real when
+    a and b are both real, complex otherwise."""
     a, b = a[:n], b[:n]
     size = _fast_len(len(a) + len(b) - 1)
-    spectrum = np.fft.fft(a, size)
-    spectrum *= np.fft.fft(b, size)
-    return np.fft.ifft(spectrum)[:n].copy()  # frees the padded buffer
+    forward, inverse = _transforms(a, b)
+    spectrum = forward(a, size)
+    spectrum *= forward(b, size)
+    return inverse(spectrum, size)[:n].copy()  # frees the padded buffer
+
+
+def _fold(coef: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
+    """Coefficients h_k, k = 0 .. n_half, of the node sum folded onto the
+    grid's upper half: h_0 = Re c_0 and h_k = c_k + conj(c_{-k}), so
+
+        Re sum_{|k| <= n_half} c_k x^k = Re sum_{k >= 0} h_k x^k
+
+    for every |x| = 1, exactly, whatever the c_k. The imaginary part this
+    drops is zero when c is Hermitian about the centre,
+    c_{-k} = conj(c_k): an even line, and the offset and any cavity at
+    the grid's centre.
+    """
+    upper = coef[grid.n_half:].copy()
+    upper[1:] += coef[grid.n_half - 1::-1].conj()
+    upper[0] = upper[0].real
+    return upper
 
 
 def _node_chirp(coef: np.ndarray, grid: FrequencyGrid, dt: float) -> np.ndarray:
-    """The node part of a chirp-z sum: coef_k e^{-i theta k^2 / 2}."""
-    k = np.arange(-grid.n_half, grid.n_half + 1)
+    """The node part of a chirp-z sum: coef_k e^{-i theta k^2 / 2}, with k
+    running up to n_half from -n_half, or from 0 for `_fold`'s h_k."""
+    k = np.arange(grid.n_half + 1 - len(coef), grid.n_half + 1)
     return coef * np.exp(-0.5j * _theta(grid, dt) * (k * k))
 
 
@@ -433,13 +465,15 @@ def _theta(grid: FrequencyGrid, dt: float) -> float:
 def _chirp_z(node: np.ndarray, lag: np.ndarray, grid: FrequencyGrid, offset: float,
              dt: float, n: int, start: int) -> np.ndarray:
     """`_node_sum` from its two parts: one FFT convolution, then the
-    output chirp. ``lag`` holds at least n + grid.n - 1 terms."""
-    size = _fast_len(n + grid.n - 1)
+    output chirp. A folded node part (n_half + 1 terms, from k = 0) needs
+    the first n + n_half terms of ``lag``, a full one n + grid.n - 1."""
+    width = len(node)
+    size = _fast_len(n + width - 1)
     spectrum = np.fft.fft(node, size)
-    spectrum *= np.fft.fft(lag[:n + grid.n - 1], size)
+    spectrum *= np.fft.fft(lag[:n + width - 1], size)
     m = np.arange(start, start + n)
     phase = (grid.center - offset) * dt * m + 0.5 * _theta(grid, dt) * (m * m)
-    return np.exp(-1j * phase) * np.fft.ifft(spectrum)[grid.n - 1:grid.n - 1 + n]
+    return np.exp(-1j * phase) * np.fft.ifft(spectrum)[width - 1:width - 1 + n]
 
 
 def _node_sum(coef: np.ndarray, grid: FrequencyGrid, offset: float, dt: float,
@@ -455,3 +489,13 @@ def _node_sum(coef: np.ndarray, grid: FrequencyGrid, offset: float, dt: float,
     """
     return _chirp_z(_node_chirp(coef, grid, dt), _lag_chirp(grid, dt, 0, n),
                     grid, offset, dt, n, 0)
+
+
+def _folded_sum(coef: np.ndarray, grid: FrequencyGrid, dt: float, n: int) -> np.ndarray:
+    """Re sum_i coef_i e^{-i (omega_i - center) m dt} for m = 0 .. n-1, as
+    a real array: `_node_sum` about the grid's centre over `_fold`'s
+    n_half + 1 coefficients, so its FFT is fast_len(n + n_half) long
+    against fast_len(n + 2 n_half). It is the whole sum when coef is
+    Hermitian about the centre."""
+    return _chirp_z(_node_chirp(_fold(coef, grid), grid, dt), _lag_chirp(grid, dt, 0, n),
+                    grid, grid.center, dt, n, 0).real

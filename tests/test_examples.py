@@ -99,7 +99,8 @@ def test_narrow_line_meets_the_dirac_line(kind, tmp_path):
     tail = harness.DensitySpec.from_mapping(
         {**mapping["density"], "kind": kind, "fwhm_mhz": 1e-3},
         harness.SystemSpec.from_mapping(mapping["system"])).build().tail_mass()
-    gap = np.abs(line - dirac).max(axis=0) / np.abs(dirac).max(axis=0)
+    # Jy2 is exactly 0 on both resonant runs: compare t, |A|^2 and Jx2.
+    gap = np.abs(line - dirac)[:, :3].max(axis=0) / np.abs(dirac)[:, :3].max(axis=0)
     assert gap[1] < 2 * tail  # |A|^2
     assert gap[2] < 1.1 * 2 * tail  # Jx2
 

@@ -1,9 +1,10 @@
 """Every example config against its stored reference output.
 
 The references in `tests/reference/` were written by its `regenerate.py`.
-Rows must match within 1e-10 of each column's max |x|. `Jy2` is
-round-off noise on every line, so it is checked by its size against
-`Jx2` instead. The CSV's sha256 is printed, not asserted: FFT bits depend
+Rows must match within 1e-10 of each column's max |x|. `Jy2` is exactly
+0 on resonant lines, whose solves run in real arithmetic, and round-off
+noise in references written before that, so it is checked by its size
+against `Jx2` instead. The CSV's sha256 is printed, not asserted: FFT bits depend
 on the numpy build.
 """
 

@@ -21,12 +21,15 @@ from cavityspin import (
     mhz_to_angular,
     normalize,
 )
-from cavityspin import laplace
+from cavityspin import laplace, volterra
 from cavityspin.spectral import (
     _GRID_SNAP,
     _NODE_ROUNDING,
     MAX_GRID_NODES,
+    _conv,
     _fast_len,
+    _folded_sum,
+    _node_sum,
     lamb_shift_nodes,
     qgauss_norm,
     uniform_grid,
@@ -286,6 +289,72 @@ def test_fast_len_matches_scipy():
     rng = np.random.default_rng(7)
     for n in rng.integers(20_001, 5_000_001, size=2_000).tolist():
         assert _fast_len(n) == next_fast_len(n), n
+
+
+def test_conv_follows_the_dtype_of_its_inputs():
+    # Real inputs take real FFTs and give a real result; one complex
+    # input gives the complex convolution.
+    rng = np.random.default_rng(3)
+    a, b = rng.standard_normal(300), rng.standard_normal(200)
+    real = _conv(a, b, 250)
+    assert np.isrealobj(real)
+    assert np.abs(real - np.convolve(a, b)[:250]).max() <= 1e-13 * np.abs(real).max()
+    mixed = _conv(a, 1j * b, 250)
+    assert np.iscomplexobj(mixed)
+    assert np.abs(mixed - 1j * real).max() <= 1e-13 * np.abs(real).max()
+
+
+@pytest.mark.parametrize("kind", ["qgauss", "lorentz"])
+def test_pdf_is_even_about_the_line_centre(qg, kind):
+    # The real path folds node sums about the grid's centre on the
+    # strength of this symmetry: over the grid's offsets x the two sides
+    # agree within a few ulps of the line's peak (about 1e-20 of it
+    # for the q-Gaussian, 4e-18 for the Lorentzian: only the rounding
+    # of omega_s +- x differs). A Dirac line is one node on the centre.
+    density = qg if kind == "qgauss" else LorentzianDensity(OMEGA_C, mhz_to_angular(4.598))
+    grid = grid_for_density(density)
+    x = grid.d_omega * np.arange(grid.n_half + 1)
+    upper, lower = density.pdf(density.omega_s + x), density.pdf(density.omega_s - x)
+    assert np.abs(upper - lower).max() <= 4 * np.spacing(upper.max())
+
+
+class TestFoldedSum:
+    """`_folded_sum` against `.real` of the full complex `_node_sum`."""
+
+    @staticmethod
+    def coefficients(qg, kind, grid):
+        p = resonant_system(8.56)
+        if kind == "kernel":
+            return volterra._kernel_coefficients(p, qg, grid)
+        if kind == "mass":
+            return volterra._mass_weights(qg, grid)
+        if kind == "cut":
+            u = laplace._cut_kernel(p, qg, grid.omegas, lamb_shift_nodes(qg, grid))
+            return p.Omega**2 * grid.weights * u
+        # Any coefficients at all: the fold is exact for the real part.
+        rng = np.random.default_rng(grid.n)
+        return rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+
+    @pytest.mark.parametrize("kind", ["kernel", "mass", "cut", "random"])
+    @pytest.mark.parametrize("n_half", [1, 2, 999, 1000])
+    def test_matches_real_part_of_full_sum(self, qg, kind, n_half):
+        n, dt = 1500, 0.2
+        d_omega = grid_for_density(qg, t_max=(n - 1) * dt).d_omega
+        grid = FrequencyGrid(OMEGA_C, d_omega, n_half)
+        coef = self.coefficients(qg, kind, grid)
+        folded = _folded_sum(coef, grid, dt, n)
+        full = _node_sum(coef, grid, grid.center, dt, n).real
+        assert np.isrealobj(folded) and len(folded) == n
+        assert np.abs(folded - full).max() <= 1e-13 * np.abs(full).max()
+
+    @pytest.mark.parametrize("kind", ["kernel", "mass"])
+    def test_one_node_dirac_grid(self, kind):
+        dirac = DiracDeltaDensity(omega_s=OMEGA_C)
+        grid = grid_for_density(dirac)
+        coef = self.coefficients(dirac, kind, grid)
+        folded = _folded_sum(coef, grid, 0.2, 50)
+        full = _node_sum(coef, grid, grid.center, 0.2, 50).real
+        assert np.abs(folded - full).max() <= 1e-13 * np.abs(full).max()
 
 
 class TestLambShift:

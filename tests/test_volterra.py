@@ -64,18 +64,23 @@ class TestKernel:
         assert np.abs(vals[lags] - direct).max() < 1e-12 * scale
 
     @pytest.mark.parametrize("lorentz,n_lags,n_freq", [
-        (False, 24_001, 8_015),   # long-pulse table
-        (True, 27_301, 40_001),   # train-compare twin table
+        (False, 24_001, 8_015),   # long-pulse table, probe 1.3 MHz off: complex
+        (True, 27_301, 40_001),   # train-compare twin table: real
+        ("resonant", 24_001, 8_015),  # long-pulse table: real
     ])
     def test_chirp_z_table_matches_direct_sums(self, ensemble, lorentz, n_lags, n_freq):
-        if lorentz:
+        if lorentz is True:
             p = resonant_system(9.786)
             density = LorentzianDensity(omega_s=OMEGA_C, delta=mhz_to_angular(4.598))
+        elif lorentz == "resonant":
+            p, density = resonant_system(8.56), ensemble
         else:
             p, density = detuned_system(8.56, probe_offset=mhz_to_angular(1.3)), ensemble
         grid = grid_for_density(density, t_max=(n_lags - 1) * DT)
         assert grid.n == n_freq
         vals = KernelCache(p, density, grid, DT).values(n_lags)
+        # The resonant tables are the folded real sums.
+        assert np.isrealobj(vals) == (p.omega_p == p.omega_c)
         scale = np.abs(vals).max()
         lags = np.linspace(1, n_lags - 1, 41).astype(int)
         direct = kernel_K(p, density, DT * lags, grid=grid)
@@ -103,19 +108,26 @@ class TestSeriesInverse:
 
     @pytest.fixture(scope="class")
     def symbols(self, ensemble):
-        # The trapezoid symbol 1 - dt K of a 25 MHz free decay, and a
-        # random series whose terms sum to less than 1 in modulus.
+        # The trapezoid symbol 1 - dt K of a 25 MHz free decay, real on
+        # resonance and complex with the probe 9.6 MHz off, and random
+        # series, complex and real, whose terms sum to less than 1 in
+        # modulus.
         n = 4097
-        p = resonant_system(25.0)
         grid = grid_for_density(ensemble, t_max=(n - 1) * DT)
-        kernel = -DT * KernelCache(p, ensemble, grid, DT).values(n)
-        kernel[0] = 1.0
+        out = {}
+        for name, p in (("kernel", resonant_system(25.0)),
+                        ("detuned_kernel", detuned_system(25.0, mhz_to_angular(9.6)))):
+            out[name] = -DT * KernelCache(p, ensemble, grid, DT).values(n)
+            out[name][0] = 1.0
         rng = np.random.default_rng(7)
-        random = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / (4.0 * n)
-        random[0] = 1.0
-        return {"kernel": kernel, "random": random}
+        out["random"] = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / (4.0 * n)
+        out["real_random"] = rng.standard_normal(n) / (4.0 * n)
+        for name in ("random", "real_random"):
+            out[name][0] = 1.0
+        assert np.isrealobj(out["kernel"]) and np.isrealobj(out["real_random"])
+        return out
 
-    @pytest.mark.parametrize("symbol", ["kernel", "random"])
+    @pytest.mark.parametrize("symbol", ["kernel", "random", "detuned_kernel", "real_random"])
     @pytest.mark.parametrize("n", [1, 2, 3, 65, 257, _DIRECT_TERMS, _DIRECT_TERMS + 1,
                                    2001, 4097])
     def test_matches_forward_substitution(self, symbols, symbol, n):
@@ -125,6 +137,7 @@ class TestSeriesInverse:
         got = _series_inverse(b, n)
         ref = self.forward_substitution(b, n)
         assert len(got) == n
+        assert got.dtype == b.dtype  # a real symbol has a real inverse
         assert rel_linf(got, ref) <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 257, 4097, 16385, 24001])
@@ -504,7 +517,9 @@ class TestDiracRabiOracle:
         tgrid = TimeGrid(0.0, DT, 3001)
         a = solve(p, d, rect_pulse(KAPPA, 200.0), tgrid)
         expected = self.oracle(p, KAPPA, tgrid.times())
-        assert np.abs(a.values.imag).max() < 1e-12 * np.abs(a.values).max()
+        # A resonant solve marches in real arithmetic: no round-off
+        # reaches the imaginary part.
+        assert not a.values.imag.any()
         assert rel_linf(a.values.real, expected) < 1e-4
 
     def test_direct_solver_matches_too(self):
@@ -562,6 +577,29 @@ class TestToeplitzVsDirect:
         tgrid = TimeGrid(0.0, DT, 4001)
         a = solve(p, ensemble, DriveProtocol(()), tgrid, a0=1.0)
         b = solve_direct(p, ensemble, DriveProtocol(()), tgrid, a0=1.0)
+        assert np.abs(a.values - b.values).max() <= 1e-6 * np.abs(b.values).max()
+
+    @pytest.mark.parametrize("offset_mhz", [-9.6, 9.6])
+    def test_probe_detuned_either_side(self, ensemble, offset_mhz):
+        # The real table of the cavity frame with complex forcing: the
+        # complex values, not only their moduli, match.
+        p = detuned_system(8.56, probe_offset=mhz_to_angular(offset_mhz))
+        tgrid = TimeGrid(0.0, DT, 2001)
+        prot = phase_switched_train(KAPPA, 25.0, 4)
+        a, b = solve(p, ensemble, prot, tgrid), solve_direct(p, ensemble, prot, tgrid)
+        assert np.abs(a.values - b.values).max() <= 1e-6 * np.abs(b.values).max()
+
+    def test_line_off_the_cavity_stays_complex(self):
+        # A line 2.4 MHz off the cavity has no symmetric node sum: its
+        # table stays complex, and so does the march.
+        p = detuned_system(8.56, probe_offset=0.0, ensemble_offset=mhz_to_angular(2.4))
+        density = QGaussianDensity(omega_s=p.omega_s, q=Q_SHAPE,
+                                   delta=delta_from_fwhm(Q_SHAPE, FWHM))
+        tgrid = TimeGrid(0.0, DT, 2001)
+        grid = grid_for_density(density, t_max=tgrid.t_end)
+        assert np.iscomplexobj(KernelCache(p, density, grid, DT).values(3))
+        prot = rect_pulse(KAPPA, 50.0)
+        a, b = solve(p, density, prot, tgrid), solve_direct(p, density, prot, tgrid)
         assert np.abs(a.values - b.values).max() <= 1e-6 * np.abs(b.values).max()
 
 
@@ -703,7 +741,9 @@ class TestCollectiveSpin:
         tgrid = TimeGrid(0.0, DT, 3001)
         a = solve(p, ensemble, rect_pulse(KAPPA, 150.0), tgrid)
         j = collective_spin(p, ensemble, a)
-        assert np.abs(j.values.imag).max() < 1e-8 * np.abs(j.values).max()
+        # Real trace, real propagator: J_y is exactly 0.
+        assert np.abs(j.values).max() > 0
+        assert not j.values.imag.any()
 
     def test_matches_brute_force_quadrature(self, ensemble):
         p = detuned_system(8.56, probe_offset=mhz_to_angular(2.0))
