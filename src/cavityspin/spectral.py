@@ -446,13 +446,14 @@ def _node_chirp(coef: np.ndarray, grid: FrequencyGrid, dt: float) -> np.ndarray:
 
 
 def _lag_chirp(grid: FrequencyGrid, dt: float, start: int, n: int) -> np.ndarray:
-    """The lag part of a chirp-z sum over lags start .. start+n-1:
-    e^{i theta d^2 / 2} for d = start - n_half .. start + n + n_half - 1.
+    """The lag part of a chirp-z sum from lag ``start`` on: the n terms
+    e^{i theta d^2 / 2}, d = start - n_half .. start - n_half + n - 1.
 
-    Element by element it does not depend on n, so the part for n lags
-    is the first n + grid.n - 1 terms of the part for any longer run.
+    A node part of width terms needs n + width - 1 of them for n lags.
+    Element by element they do not depend on n, so the part for n terms
+    is the first n terms of the part for any longer run.
     """
-    d = np.arange(start - grid.n_half, start + n + grid.n_half)
+    d = np.arange(start - grid.n_half, start - grid.n_half + n)
     return np.exp(0.5j * _theta(grid, dt) * (d * d))
 
 
@@ -462,18 +463,19 @@ def _theta(grid: FrequencyGrid, dt: float) -> float:
     return grid.d_omega * dt if grid.n > 1 else 0.0
 
 
-def _chirp_z(node: np.ndarray, lag: np.ndarray, grid: FrequencyGrid, offset: float,
+def _chirp_z(spectrum: np.ndarray, width: int, grid: FrequencyGrid, offset: float,
              dt: float, n: int, start: int) -> np.ndarray:
-    """`_node_sum` from its two parts: one FFT convolution, then the
-    output chirp. A folded node part (n_half + 1 terms, from k = 0) needs
-    the first n + n_half terms of ``lag``, a full one n + grid.n - 1."""
-    width = len(node)
-    size = _fast_len(n + width - 1)
-    spectrum = np.fft.fft(node, size)
-    spectrum *= np.fft.fft(lag[:n + width - 1], size)
+    """`_node_sum` over lags start .. start+n-1 from the FFT of its node
+    part (`_node_chirp`, width terms: the full grid, or `_fold`'s upper
+    half) at a length of at least n + width - 1: one FFT of the lag
+    chirp, one inverse FFT, then the output chirp. The cyclic product's
+    wrap-around lands below index width - 1, so a length of exactly
+    n + width - 1 leaves the n lags exact (overlap-save)."""
+    size = len(spectrum)
+    product = spectrum * np.fft.fft(_lag_chirp(grid, dt, start, n + width - 1), size)
     m = np.arange(start, start + n)
     phase = (grid.center - offset) * dt * m + 0.5 * _theta(grid, dt) * (m * m)
-    return np.exp(-1j * phase) * np.fft.ifft(spectrum)[width - 1:width - 1 + n]
+    return np.exp(-1j * phase) * np.fft.ifft(product)[width - 1:width - 1 + n]
 
 
 def _node_sum(coef: np.ndarray, grid: FrequencyGrid, offset: float, dt: float,
@@ -485,10 +487,12 @@ def _node_sum(coef: np.ndarray, grid: FrequencyGrid, offset: float, dt: float,
     convolution of a node part (`_node_chirp`) with a lag part
     (`_lag_chirp`). The squares are exact integers before they meet
     theta = d_omega dt, so a part kept from another sum of the same
-    coefficients, grid and dt has the bits of one built here.
+    coefficients, grid and dt has the bits of one built here. ``coef``
+    may also be `_fold`'s n_half + 1 coefficients from k = 0.
     """
-    return _chirp_z(_node_chirp(coef, grid, dt), _lag_chirp(grid, dt, 0, n),
-                    grid, offset, dt, n, 0)
+    node = _node_chirp(coef, grid, dt)
+    spectrum = np.fft.fft(node, _fast_len(n + len(node) - 1))
+    return _chirp_z(spectrum, len(node), grid, offset, dt, n, 0)
 
 
 def _folded_sum(coef: np.ndarray, grid: FrequencyGrid, dt: float, n: int) -> np.ndarray:
@@ -497,5 +501,4 @@ def _folded_sum(coef: np.ndarray, grid: FrequencyGrid, dt: float, n: int) -> np.
     n_half + 1 coefficients, so its FFT is fast_len(n + n_half) long
     against fast_len(n + 2 n_half). It is the whole sum when coef is
     Hermitian about the centre."""
-    return _chirp_z(_node_chirp(_fold(coef, grid), grid, dt), _lag_chirp(grid, dt, 0, n),
-                    grid, grid.center, dt, n, 0).real
+    return _node_sum(_fold(coef, grid), grid, grid.center, dt, n).real

@@ -3,6 +3,7 @@ and the physics-level behavior of each runner on small grids."""
 
 import json
 import math
+import platform
 
 import numpy as np
 import pytest
@@ -231,6 +232,7 @@ class TestOutputs:
         assert manifest["n_rows"] == table.n_rows
         assert list(manifest["columns"]) == list(table.columns)
         assert "numpy" in manifest["versions"]
+        assert manifest["versions"]["python"] == platform.python_version()
         assert manifest["timings"] == {"wall_s": 0.1}
         n_lines = (tmp_path / "run.csv").read_text().count("\n")
         assert n_lines == table.n_rows + 1
@@ -717,6 +719,27 @@ class TestKernelShare:
         blocks = swept.rows.reshape(len(couplings), alone[0].n_rows, -1)
         for block, table in zip(blocks, alone):
             assert np.ascontiguousarray(block[:, 1:]).tobytes() == table.rows.tobytes()
+
+    def test_gamma_sweep_builds_each_block_once(self, monkeypatch):
+        # The example gamma-sweep asks its 8,015-node kernel key for 62
+        # windows of 34 lengths, from 65 to 9,137 lags. The key's table
+        # grows in fixed lag blocks, so the run builds one node transform
+        # and at most 2 blocks there.
+        from pathlib import Path
+
+        from cavityspin import volterra
+
+        path = Path(__file__).resolve().parent.parent / "docs" / "examples" / "gamma_sweep.json"
+        config = ScenarioConfig.from_mapping(json.loads(path.read_text()))
+        built = {"node": [], "block": []}
+        for name, kind, grid_at in (("_node_chirp", "node", 1), ("_chirp_z", "block", 2)):
+            def wrapper(*args, _f=getattr(volterra, name), _kind=kind, _at=grid_at):
+                built[_kind].append(args[_at].n)
+                return _f(*args)
+            monkeypatch.setattr(volterra, name, wrapper)
+        run_scenario(config)
+        assert built["node"].count(8015) == 1
+        assert 1 <= built["block"].count(8015) <= 2
 
 
 class TestValidation:
