@@ -151,16 +151,24 @@ class SystemSpec:
         return SystemSpec(**values | carriers)
 
     def to_params(self) -> SystemParams:
-        try:
-            return SystemParams(
-                omega_c=ghz_to_angular(self.cavity_ghz),
-                omega_s=ghz_to_angular(self.spin_ghz),
-                omega_p=ghz_to_angular(self.probe_ghz),
-                kappa=mhz_to_angular(self.kappa_mhz),
-                Omega=mhz_to_angular(self.coupling_mhz),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"system config rejected: {exc}") from exc
+        # `SystemParams`' own checks on the converted values, each refusal
+        # naming its key and the value as read.
+        omega_c = ghz_to_angular(self.cavity_ghz)
+        kappa = mhz_to_angular(self.kappa_mhz)
+        coupling = mhz_to_angular(self.coupling_mhz)
+        if not omega_c > 0:
+            raise ConfigError(f"system.cavity_ghz must be positive, got {self.cavity_ghz}")
+        if not kappa > 0:
+            raise ConfigError(f"system.kappa_mhz must be positive, got {self.kappa_mhz}")
+        if coupling < 0:
+            raise ConfigError(f"system.coupling_mhz must be non-negative, "
+                              f"got {self.coupling_mhz}")
+        if not coupling < omega_c / 50.0:
+            raise ConfigError(f"system.coupling_mhz must be below system.cavity_ghz * 1000 / 50 "
+                              f"= {self.cavity_ghz * 20.0:g} MHz (rotating-wave bound), "
+                              f"got {self.coupling_mhz}")
+        return SystemParams(omega_c=omega_c, omega_s=ghz_to_angular(self.spin_ghz),
+                            omega_p=ghz_to_angular(self.probe_ghz), kappa=kappa, Omega=coupling)
 
 
 @dataclass(frozen=True)

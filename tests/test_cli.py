@@ -203,6 +203,27 @@ _TWO_COUPLING_AXES = ('sweep=[{"parameter": "coupling_mhz", "values": [1]}, '
                  id="gamma-sweep-empty-values"),
     pytest.param("long-pulse", "long_pulse.json", _TWO_COUPLING_AXES, "sweep[1].parameter",
                  id="long-pulse-two-coupling-axes"),
+    # System values are refused in the config's units, not in rad/ns.
+    pytest.param("long-pulse", "long_pulse.json", "system.coupling_mhz=-1",
+                 "system.coupling_mhz must be non-negative, got -1.0",
+                 id="long-pulse-negative-coupling"),
+    pytest.param("long-pulse", "long_pulse.json", "system.coupling_mhz=100",
+                 "system.coupling_mhz must be below system.cavity_ghz * 1000 / 50 = 53.83 MHz",
+                 id="long-pulse-coupling-above-the-bound"),
+    pytest.param("long-pulse", "long_pulse.json", "system.cavity_ghz=-2.69",
+                 "system.cavity_ghz must be positive, got -2.69",
+                 id="long-pulse-negative-cavity"),
+    pytest.param("long-pulse", "long_pulse.json", "system.kappa_mhz=-0.8",
+                 "system.kappa_mhz must be positive, got -0.8",
+                 id="long-pulse-negative-kappa"),
+    pytest.param("gamma-sweep", "gamma_sweep.json",
+                 'sweep=[{"parameter": "coupling_mhz", "values": [8.56, -1]}]',
+                 "system.coupling_mhz must be non-negative, got -1.0",
+                 id="gamma-sweep-negative-coupling-point"),
+    pytest.param("long-pulse", "long_pulse.json",
+                 'sweep=[{"parameter": "coupling_mhz", "values": [8.56, 100]}]',
+                 "system.coupling_mhz must be below system.cavity_ghz * 1000 / 50 = 53.83 MHz",
+                 id="long-pulse-coupling-point-above-the-bound"),
 ])
 def test_refusal_names_its_key(tmp_path, capsys, scenario, example, override, key):
     # Each of these refusals names the key to mend and comes before any output.

@@ -693,12 +693,9 @@ class TestKernelShare:
         assert held[-1] > 0
 
 
-    def test_coupling_sweep_builds_one_propagator(self, monkeypatch):
-        # The collective-spin propagator has no coupling in it: a
-        # 3-coupling long-pulse sweep builds it once, and each point keeps
-        # the bytes it has when run alone.
-        from cavityspin import volterra
-
+    def test_coupling_sweep_points_keep_their_bytes(self):
+        # Each point of a 3-coupling long-pulse sweep keeps the bytes it
+        # has when run alone.
         def mapping(**extra):
             return base_mapping(grid={"dt_ns": 0.5, "t_end_ns": 150.0},
                                 drive={"kind": "rect", "duration_ns": 100.0}, **extra)
@@ -707,15 +704,8 @@ class TestKernelShare:
         alone = [run_scenario(ScenarioConfig.from_mapping(mapping(
             system={"cavity_ghz": CAVITY_GHZ, "kappa_mhz": 0.8, "coupling_mhz": c})))
             for c in couplings]
-        built = []
-        for name in ("_folded_sum", "_node_sum"):
-            def wrapper(*args, _f=getattr(volterra, name)):
-                built.append(args[-1])
-                return _f(*args)
-            monkeypatch.setattr(volterra, name, wrapper)
         swept = run_scenario(ScenarioConfig.from_mapping(mapping(
             sweep=[{"parameter": "coupling_mhz", "values": couplings}])))
-        assert built == [alone[0].n_rows]
         blocks = swept.rows.reshape(len(couplings), alone[0].n_rows, -1)
         for block, table in zip(blocks, alone):
             assert np.ascontiguousarray(block[:, 1:]).tobytes() == table.rows.tobytes()
@@ -723,8 +713,8 @@ class TestKernelShare:
     def test_gamma_sweep_builds_each_block_once(self, monkeypatch):
         # The example gamma-sweep asks its 8,015-node kernel key for 62
         # windows of 34 lengths, from 65 to 9,137 lags. The key's table
-        # grows in fixed lag blocks, so the run builds one node transform
-        # and at most 2 blocks there.
+        # grows in fixed lag blocks, so the run builds at most 2 blocks
+        # there, with one node transform per extension.
         from pathlib import Path
 
         from cavityspin import volterra
@@ -738,8 +728,32 @@ class TestKernelShare:
                 return _f(*args)
             monkeypatch.setattr(volterra, name, wrapper)
         run_scenario(config)
-        assert built["node"].count(8015) == 1
+        assert built["node"].count(8015) == 2
         assert 1 <= built["block"].count(8015) <= 2
+
+    @pytest.mark.parametrize("example", ["gamma_sweep.json", "long_pulse.json"])
+    def test_share_holds_tables_and_inverses_only(self, monkeypatch, example):
+        # Inside a run the share keeps kernel tables and the Toeplitz
+        # inverses of the latest kernel, nothing else: spied after every
+        # solve and collective-spin readout of the example gamma-sweep and
+        # long pulse.
+        from pathlib import Path
+
+        from cavityspin import volterra
+
+        path = Path(__file__).resolve().parent.parent / "docs" / "examples" / example
+        mapping = json.loads(path.read_text())
+        held = []
+        for name in ("solve", "collective_spin"):
+            def spy(*args, _f=getattr(volterra, name), _name=name, **kwargs):
+                out = _f(*args, **kwargs)
+                held.append((_name, set(volterra._share.get())))
+                return out
+            monkeypatch.setattr(volterra, name, spy)
+        run_scenario(ScenarioConfig.from_mapping(mapping))
+        assert held and all(keys == {"tables", "inverses"} for _, keys in held)
+        if example == "long_pulse.json":
+            assert [name for name, _ in held] == ["solve", "collective_spin"]
 
 
 class TestValidation:
