@@ -32,6 +32,7 @@ import numpy as np
 
 from . import __version__, laplace, lorentz, volterra
 from .core import (
+    MAX_TIME_STEPS,
     SystemParams,
     TimeGrid,
     angular_to_mhz,
@@ -342,12 +343,13 @@ class ScenarioConfig:
             output=output,
         )
         # Constructor-validate the base point and every sweep point now,
-        # so bad physics parameters fail at parse time (exit code 1)
-        # rather than mid-run.
+        # so bad physics parameters, drive durations and time grids fail
+        # at parse time (exit code 1) rather than mid-run.
         for assignment in iter_assignments(config):
             point = apply_assignment(config, assignment)
             point.system.to_params()
             point.density.build()
+            _SCENARIO_TABLE[config.scenario].check_drive(point)
         return config
 
     def to_mapping(self) -> dict:
@@ -492,14 +494,17 @@ def _build_point(config):
 def _snapped(config, key):
     """drive.<key> as requested and snapped to the time grid."""
     requested = getattr(config.drive, key)
-    if not requested > 0:
-        raise ConfigError(f"drive.{key} must be positive, got {requested}")
     return {"requested": requested, "snapped": snap_to_grid(requested, config.grid.dt_ns)}
+
+
+def _samples(count: int, span: float, dt: float) -> int:
+    """Samples of a time grid from t = 0 over ``count`` spans of ``span``."""
+    return count * int(round(span / dt)) + 1
 
 
 def _rect_pulse_grid(config):
     """Requested/snapped pulse duration and the grid up to grid.t_end_ns."""
-    n_steps = int(round(config.grid.t_end_ns / config.grid.dt_ns)) + 1
+    n_steps = _samples(1, config.grid.t_end_ns, config.grid.dt_ns)
     return _snapped(config, "duration_ns"), TimeGrid(0.0, config.grid.dt_ns, n_steps)
 
 
@@ -535,7 +540,7 @@ def _train_point(config, assignment, density=None):
     params, own_density, eta = _build_point(cfg)
     dt = cfg.grid.dt_ns
     tau = _snapped(cfg, "tau_ns")
-    tgrid = TimeGrid(0.0, dt, cfg.drive.n_pulses * int(round(tau["snapped"] / dt)) + 1)
+    tgrid = TimeGrid(0.0, dt, _samples(cfg.drive.n_pulses, tau["snapped"], dt))
     protocol = phase_switched_train(eta, tau["snapped"], cfg.drive.n_pulses)
     a = volterra.solve(params, own_density if density is None else density,
                        protocol, tgrid)
@@ -730,6 +735,30 @@ class _Scenario:
                     raise ConfigError(
                         f"{name} is resonant: {key} must be {cavity}, "
                         f"got {_field(config, key)}")
+
+    def check_drive(self, point: ScenarioConfig) -> None:
+        """Refuse a non-positive drive duration and a time grid, fixed by the
+        config, past MAX_TIME_STEPS samples; an unset key is `check`'s."""
+        drive, grid = point.drive, point.grid
+        key = {"rect": "duration_ns", "train": "tau_ns"}.get(self.drive)
+        value = key and getattr(drive, key)
+        if value is not None and not value > 0:
+            raise ConfigError(f"drive.{key} must be positive, got {value}")
+        try:
+            if self.drive == "rect" and grid.t_end_ns is not None:
+                keys = f"grid.t_end_ns / grid.dt_ns = {grid.t_end_ns} / {grid.dt_ns}"
+                samples = _samples(1, grid.t_end_ns, grid.dt_ns)
+            elif self.drive == "train" and value is not None and drive.n_pulses is not None:
+                keys = (f"drive.n_pulses x drive.tau_ns / grid.dt_ns = "
+                        f"{drive.n_pulses} x {value} / {grid.dt_ns}")
+                samples = _samples(drive.n_pulses, snap_to_grid(value, grid.dt_ns), grid.dt_ns)
+            else:
+                return
+        except OverflowError:  # a ratio past float range
+            samples = math.inf
+        if samples > MAX_TIME_STEPS:
+            raise ConfigError(f"{keys} gives {samples:,} time samples, more than "
+                              f"the cap of {MAX_TIME_STEPS:,}")
 
 
 def _field(config, dotted):

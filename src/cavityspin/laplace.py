@@ -424,12 +424,11 @@ def invert(
     The t = 0 sum rule (poles + cut = 1) pins the cut orientation and is
     asserted in tests; it holds to eight digits in every coupling regime.
     The line is even and the cut grid centred on it, so U(-nu) =
-    conj(U(nu)) about omega_p and the cut sum is real: one chirp-z sum
-    folded onto the grid's upper half (`spectral._folded_sum`), taken
-    about the grid's centre, which the resonance check holds within
-    1e-12 omega_c of omega_p. The Lamb
-    shift in U is one discrete Hilbert transform
-    (`spectral.lamb_shift_nodes`).
+    conj(U(nu)) about omega_p and the cut sum is real: the first lags of
+    the chirp-z node sum's blocks from lag 0, folded onto the grid's
+    upper half (`spectral._folded_sum`) about its centre, which the
+    resonance check holds within 1e-12 omega_c of omega_p. The Lamb
+    shift in U is one discrete Hilbert transform (`lamb_shift_nodes`).
 
     Caveat: just below the coupling where the detuned resonance pair is
     born, the cut integrand develops a feature of width |kappa - G(omega)|
@@ -455,8 +454,8 @@ def invert(
         poles = find_poles(params, density)
 
     u = _cut_kernel(params, density, grid.omegas, lamb_shift_nodes(density, grid))
-    vals = _folded_sum(params.Omega**2 * grid.weights * u, grid, tgrid.dt,
-                       len(times)).astype(complex)
+    vals = _folded_sum(params.Omega**2 * grid.weights * u, grid, tgrid.dt, 0,
+                       len(times))[:len(times)].astype(complex)
     for p in poles:
         vals += p.residue * np.exp((p.sigma + 1j * (p.omega + params.omega_p)) * times)
     closure = abs(vals[0] - 1.0)

@@ -7,9 +7,10 @@ Densities are normalized to unit area analytically; quadrature happens on
 truncated supports, with the truncated tail mass known exactly so
 normalization checks stay honest.
 Every sum over the uniform grid has its one home here: the chirp-z node
-sum, FFT convolution and the discrete Hilbert transform (Lamb shift).
-A node sum whose coefficients are Hermitian about the grid's centre is
-real, and `_folded_sum` computes it over the grid's upper half
+sum, which is the kernel table, the collective-spin propagator and the
+cut sum alike, FFT convolution and the discrete Hilbert transform (Lamb
+shift). A node sum whose coefficients are Hermitian about the grid's
+centre is real, and `_folded_sum` computes it over the grid's upper half
 (`_fold`); `_conv` takes real FFTs when both its inputs are real.
 `normalize` checks unit mass with the same node sum on the same grid the
 solvers integrate. The module, like the package, imports numpy only.
@@ -448,11 +449,7 @@ def _node_chirp(coef: np.ndarray, grid: FrequencyGrid, dt: float) -> np.ndarray:
 def _lag_chirp(grid: FrequencyGrid, dt: float, start: int, n: int) -> np.ndarray:
     """The lag part of a chirp-z sum from lag ``start`` on: the n terms
     e^{i theta d^2 / 2}, d = start - n_half .. start - n_half + n - 1.
-
-    A node part of width terms needs n + width - 1 of them for n lags.
-    Element by element they do not depend on n, so the part for n terms
-    is the first n terms of the part for any longer run.
-    """
+    A node part of width terms needs n + width - 1 of them for n lags."""
     d = np.arange(start - grid.n_half, start - grid.n_half + n)
     return np.exp(0.5j * _theta(grid, dt) * (d * d))
 
@@ -463,42 +460,46 @@ def _theta(grid: FrequencyGrid, dt: float) -> float:
     return grid.d_omega * dt if grid.n > 1 else 0.0
 
 
-def _chirp_z(spectrum: np.ndarray, width: int, grid: FrequencyGrid, offset: float,
-             dt: float, n: int, start: int) -> np.ndarray:
-    """`_node_sum` over lags start .. start+n-1 from the FFT of its node
-    part (`_node_chirp`, width terms: the full grid, or `_fold`'s upper
-    half) at a length of at least n + width - 1: one FFT of the lag
-    chirp, one inverse FFT, then the output chirp. The cyclic product's
-    wrap-around lands below index width - 1, so a length of exactly
-    n + width - 1 leaves the n lags exact (overlap-save)."""
-    size = len(spectrum)
-    product = spectrum * np.fft.fft(_lag_chirp(grid, dt, start, n + width - 1), size)
-    m = np.arange(start, start + n)
-    phase = (grid.center - offset) * dt * m + 0.5 * _theta(grid, dt) * (m * m)
-    return np.exp(-1j * phase) * np.fft.ifft(product)[width - 1:width - 1 + n]
+# FFT length of a node sum's lag blocks, in widths of its node part, and
+# its floor for narrow grids (a Dirac line's node part is one term). A
+# block holds FFT length - width + 1 lags (overlap-save).
+_BLOCK_WIDTHS = 2.5
+_MIN_BLOCK_FFT = 4096
 
 
 def _node_sum(coef: np.ndarray, grid: FrequencyGrid, offset: float, dt: float,
-              n: int) -> np.ndarray:
-    """sum_i coef_i e^{-i (omega_i - offset) m dt} for m = 0 .. n-1.
+              start: int, stop: int) -> np.ndarray:
+    """sum_i coef_i e^{-i (omega_i - offset) m dt} in whole lag blocks
+    from m = ``start`` until they reach m = ``stop`` - 1.
 
-    Chirp-z form: with omega_i = center + k d_omega, |k| <= n_half, and
-    k m = (k^2 + m^2 - (m - k)^2) / 2, the node sum is one FFT
-    convolution of a node part (`_node_chirp`) with a lag part
-    (`_lag_chirp`). The squares are exact integers before they meet
-    theta = d_omega dt, so a part kept from another sum of the same
-    coefficients, grid and dt has the bits of one built here. ``coef``
-    may also be `_fold`'s n_half + 1 coefficients from k = 0.
+    Chirp-z form (Bluestein; Rabiner, Schafer & Rader 1969): with
+    omega_i = center + k d_omega, |k| <= n_half, and
+    k m = (k^2 + m^2 - (m - k)^2) / 2, the node sum is an FFT
+    convolution of a node part (`_node_chirp`; ``coef`` may be `_fold`'s
+    n_half + 1 coefficients from k = 0) with a lag part (`_lag_chirp`).
+    The node part is transformed once, at an FFT length set by its width
+    alone; each block is one FFT of its lag chirp and one inverse FFT,
+    whose wrap-around lands below index width - 1 (overlap-save,
+    Stockham 1966). The squares are exact integers before they meet
+    theta = d_omega dt, so lag m has the same bits in every such sum
+    that starts at a block's first lag, whatever range was asked for.
     """
-    node = _node_chirp(coef, grid, dt)
-    spectrum = np.fft.fft(node, _fast_len(n + len(node) - 1))
-    return _chirp_z(spectrum, len(node), grid, offset, dt, n, 0)
+    width = len(coef)
+    size = _fast_len(max(int(_BLOCK_WIDTHS * width), _MIN_BLOCK_FFT))
+    spectrum, n = np.fft.fft(_node_chirp(coef, grid, dt), size), size - width + 1
+    blocks = []
+    for first in range(start, stop, n):
+        product = spectrum * np.fft.fft(_lag_chirp(grid, dt, first, size), size)
+        m = np.arange(first, first + n)
+        phase = (grid.center - offset) * dt * m + 0.5 * _theta(grid, dt) * (m * m)
+        blocks.append(np.exp(-1j * phase) * np.fft.ifft(product)[width - 1:])
+    return np.concatenate(blocks)
 
 
-def _folded_sum(coef: np.ndarray, grid: FrequencyGrid, dt: float, n: int) -> np.ndarray:
-    """Re sum_i coef_i e^{-i (omega_i - center) m dt} for m = 0 .. n-1, as
-    a real array: `_node_sum` about the grid's centre over `_fold`'s
-    n_half + 1 coefficients, so its FFT is fast_len(n + n_half) long
-    against fast_len(n + 2 n_half). It is the whole sum when coef is
-    Hermitian about the centre."""
-    return _node_sum(_fold(coef, grid), grid, grid.center, dt, n).real
+def _folded_sum(coef: np.ndarray, grid: FrequencyGrid, dt: float, start: int,
+                stop: int) -> np.ndarray:
+    """Re sum_i coef_i e^{-i (omega_i - center) m dt}, a real array in
+    `_node_sum`'s blocks over `_fold`'s n_half + 1 coefficients, whose
+    FFTs are half as long. It is the whole sum when coef is Hermitian
+    about the centre."""
+    return _node_sum(_fold(coef, grid), grid, grid.center, dt, start, stop).real

@@ -294,13 +294,79 @@ def test_oversized_frequency_grid_exits_2(small_config, capsys):
     assert "exceeds the cap" in capsys.readouterr().err
 
 
-def test_oversized_time_grid_exits_2(tmp_path, capsys):
-    # 1.2e15 samples: the grid is refused before anything is allocated.
+def test_oversized_time_grid_exits_1(tmp_path, capsys):
+    # 1.2e15 samples: the config fixes the grid's size, so the parse
+    # refuses it, naming the keys, before anything is allocated.
     config = EXAMPLES[0].parent / "long_pulse.json"
     assert main(["long-pulse", str(config), "grid.dt_ns=1e-12",
-                 f"output={tmp_path / 'run'}"]) == 2
+                 f"output={tmp_path / 'run'}"]) == 1
     err = capsys.readouterr().err
-    assert "numerical failure" in err and "exceed the cap" in err
+    assert err.startswith("config error: grid.t_end_ns / grid.dt_ns = 1200.0 / 1e-12 gives "
+                          "1,200,000,000,000,001 time samples, more than the cap of 4,194,304")
+    assert not (tmp_path / "run.csv").exists()
+
+
+@pytest.fixture()
+def spied_solves(monkeypatch):
+    """Calls of `volterra.solve`, recorded and passed through."""
+    from cavityspin import volterra
+
+    calls = []
+
+    def spy(*args, _solve=volterra.solve, **kwargs):
+        calls.append(args)
+        return _solve(*args, **kwargs)
+    monkeypatch.setattr(volterra, "solve", spy)
+    return calls
+
+
+@pytest.mark.parametrize("scenario,example,overrides,message", [
+    ("train-map", "train_map.json", ["drive.n_pulses=1000000"],
+     "drive.n_pulses x drive.tau_ns / grid.dt_ns = 1000000 x 46.0 / 0.05 gives "
+     "920,000,001 time samples"),
+    # The last sweep point is the one too long.
+    ("train-map", "train_map.json",
+     ["drive.n_pulses=4000", 'sweep=[{"parameter": "tau_ns", "values": [46, 60]}]'],
+     "drive.n_pulses x drive.tau_ns / grid.dt_ns = 4000 x 60.0 / 0.05 gives "
+     "4,800,001 time samples"),
+    ("max-scan", "max_scan.json", ["drive.n_pulses=1000000"], "drive.n_pulses x drive.tau_ns"),
+    ("train-compare", "train_compare.json", ["grid.dt_ns=1e-320"],
+     "drive.n_pulses x drive.tau_ns / grid.dt_ns = 70 x 19.5 / 1e-320 gives inf time samples"),
+    ("long-pulse", "long_pulse.json", ["grid.t_end_ns=1e9"],
+     "grid.t_end_ns / grid.dt_ns = 1000000000.0 / 0.05 gives 20,000,000,001 time samples"),
+    ("lorentz-analytic", "lorentz_analytic.json", ["grid.dt_ns=1e-6"],
+     "grid.t_end_ns / grid.dt_ns"),
+])
+def test_time_grid_past_the_cap_is_refused_at_parse(tmp_path, capsys, spied_solves,
+                                                     scenario, example, overrides, message):
+    # The grid each point builds is fixed by the config: past the sample
+    # cap it exits 1, naming the keys, before any solve.
+    config = EXAMPLES[0].parent / example
+    assert main([scenario, str(config), *overrides, f"output={tmp_path / 'run'}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and "cap of 4,194,304" in err
+    assert spied_solves == []
+    assert not (tmp_path / "run.csv").exists()
+
+
+def test_train_ignores_a_long_t_end(tmp_path):
+    # A train's trace ends with its last pulse, so a grid.t_end_ns past
+    # the sample cap is no reason to refuse it.
+    config = EXAMPLES[0].parent / "train_map.json"
+    assert main(["train-map", str(config), "grid.t_end_ns=1e9", "grid.dt_ns=0.5",
+                 "drive.n_pulses=2", f"output={tmp_path / 'run'}"]) == 0
+    assert (tmp_path / "run.csv").exists()
+
+
+def test_non_positive_sweep_tau_is_refused_before_any_solve(tmp_path, capsys, spied_solves):
+    # The first tau is good; the second one is refused at parse, so the
+    # first never solves.
+    config = EXAMPLES[0].parent / "train_map.json"
+    assert main(["train-map", str(config),
+                 'sweep=[{"parameter": "tau_ns", "values": [46, -5]}]',
+                 f"output={tmp_path / 'run'}"]) == 1
+    assert "config error: drive.tau_ns must be positive, got -5.0" in capsys.readouterr().err
+    assert spied_solves == []
     assert not (tmp_path / "run.csv").exists()
 
 

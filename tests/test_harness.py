@@ -717,16 +717,16 @@ class TestKernelShare:
         # there, with one node transform per extension.
         from pathlib import Path
 
-        from cavityspin import volterra
+        from cavityspin import spectral
 
         path = Path(__file__).resolve().parent.parent / "docs" / "examples" / "gamma_sweep.json"
         config = ScenarioConfig.from_mapping(json.loads(path.read_text()))
         built = {"node": [], "block": []}
-        for name, kind, grid_at in (("_node_chirp", "node", 1), ("_chirp_z", "block", 2)):
-            def wrapper(*args, _f=getattr(volterra, name), _kind=kind, _at=grid_at):
+        for name, kind, grid_at in (("_node_chirp", "node", 1), ("_lag_chirp", "block", 0)):
+            def wrapper(*args, _f=getattr(spectral, name), _kind=kind, _at=grid_at):
                 built[_kind].append(args[_at].n)
                 return _f(*args)
-            monkeypatch.setattr(volterra, name, wrapper)
+            monkeypatch.setattr(spectral, name, wrapper)
         run_scenario(config)
         assert built["node"].count(8015) == 2
         assert 1 <= built["block"].count(8015) <= 2

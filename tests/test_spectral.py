@@ -318,6 +318,42 @@ def test_pdf_is_even_about_the_line_centre(qg, kind):
     assert np.abs(upper - lower).max() <= 4 * np.spacing(upper.max())
 
 
+class TestNodeSumBlocks:
+    """`_node_sum` returns whole lag blocks whose bits do not depend on
+    the range asked for."""
+
+    @staticmethod
+    def sums(kind):
+        """(start, stop) -> the blocks of one kind of node sum: a complex
+        sum off the grid's centre, a folded sum, or a one-node Dirac grid."""
+        if kind == "dirac":
+            grid = grid_for_density(DiracDeltaDensity(omega_s=OMEGA_C))
+            return lambda start, stop: _node_sum(np.array([0.3 - 0.7j]), grid,
+                                                 OMEGA_C + 0.01, 0.2, start, stop)
+        grid = FrequencyGrid(OMEGA_C, 2e-4, 1000)
+        rng = np.random.default_rng(7)
+        coef = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+        if kind == "folded":
+            return lambda start, stop: _folded_sum(coef, grid, 0.2, start, stop)
+        return lambda start, stop: _node_sum(coef, grid, OMEGA_C - 0.03, 0.2, start, stop)
+
+    @pytest.mark.parametrize("kind", ["complex", "folded", "dirac"])
+    def test_lags_keep_their_bits_in_every_range(self, kind):
+        # Ranges from lag 0 and from a block's first lag, ending just
+        # before, on and just past a block edge, each equal to the slice
+        # of one long sum, byte for byte, in whole blocks.
+        node_sum = self.sums(kind)
+        n = len(node_sum(0, 1))
+        longest = node_sum(0, 4 * n + 1)
+        assert len(longest) == 5 * n
+        for start in (0, n, 2 * n):
+            for stop in (start + 1, start + n - 1, start + n, start + n + 1,
+                         start + 2 * n - 1, start + 2 * n, start + 2 * n + 1):
+                part = node_sum(start, stop)
+                assert len(part) == n * math.ceil((stop - start) / n)
+                assert part.tobytes() == longest[start:start + len(part)].tobytes()
+
+
 class TestFoldedSum:
     """`_folded_sum` against `.real` of the full complex `_node_sum`."""
 
@@ -342,8 +378,8 @@ class TestFoldedSum:
         d_omega = grid_for_density(qg, t_max=(n - 1) * dt).d_omega
         grid = FrequencyGrid(OMEGA_C, d_omega, n_half)
         coef = self.coefficients(qg, kind, grid)
-        folded = _folded_sum(coef, grid, dt, n)
-        full = _node_sum(coef, grid, grid.center, dt, n).real
+        folded = _folded_sum(coef, grid, dt, 0, n)[:n]
+        full = _node_sum(coef, grid, grid.center, dt, 0, n)[:n].real
         assert np.isrealobj(folded) and len(folded) == n
         assert np.abs(folded - full).max() <= 1e-13 * np.abs(full).max()
 
@@ -352,8 +388,8 @@ class TestFoldedSum:
         dirac = DiracDeltaDensity(omega_s=OMEGA_C)
         grid = grid_for_density(dirac)
         coef = self.coefficients(dirac, kind, grid)
-        folded = _folded_sum(coef, grid, 0.2, 50)
-        full = _node_sum(coef, grid, grid.center, 0.2, 50).real
+        folded = _folded_sum(coef, grid, 0.2, 0, 50)[:50]
+        full = _node_sum(coef, grid, grid.center, 0.2, 0, 50)[:50].real
         assert np.abs(folded - full).max() <= 1e-13 * np.abs(full).max()
 
 
